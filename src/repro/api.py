@@ -45,58 +45,18 @@ from .parallel.machine import SKYLAKEX, MachineSpec
 __all__ = ["ALGORITHMS", "connected_components", "num_components"]
 
 
-def _kla_adapter(graph: CSRGraph, *,
-                 machine: MachineSpec = SKYLAKEX,
-                 k: int = 4,
-                 zero_planting: bool = True,
-                 zero_convergence: bool = True,
-                 max_supersteps: int = 1_000_000,
-                 backend: str | None = None,
-                 dataset: str = "") -> CCResult:
-    """Adapter exposing KLA through the keyword-style front door.
-
-    ``machine`` is accepted for interface uniformity; KLA's execution
-    is bulk-synchronous and machine-independent here.
-    """
-    del machine
-    return kla_cc(graph,
-                  KLAOptions(k=k, zero_planting=zero_planting,
-                             zero_convergence=zero_convergence,
-                             max_supersteps=max_supersteps,
-                             backend=backend),
-                  dataset=dataset)
+def _kla_adapter(graph: CSRGraph, *, machine: MachineSpec = SKYLAKEX,
+                 dataset: str = "", **kw) -> CCResult:
+    """KLA through the keyword-style front door (``machine`` unused)."""
+    return kla_cc(graph, KLAOptions(**kw), dataset=dataset)
 
 
 def _distributed_adapter(graph: CSRGraph, *,
                          machine: MachineSpec = SKYLAKEX,
-                         num_ranks: int = 8,
-                         algorithm: str = "lp",
-                         partition: str = "block",
-                         combining: bool = True,
-                         zero_planting: bool = True,
-                         zero_convergence: bool = True,
-                         dedup_sends: bool = True,
-                         max_supersteps: int = 100_000,
-                         backend: str | None = None,
-                         dataset: str = "") -> CCResult:
-    """Adapter exposing the sharded tier through the front door.
-
-    ``machine`` is accepted for interface uniformity; the distributed
-    cost model prices per-node compute and the network separately (see
-    :func:`repro.distributed.simulate_distributed_time`).
-    """
-    del machine
+                         dataset: str = "", **kw) -> CCResult:
+    """The sharded tier through the front door (``machine`` unused)."""
     from .distributed import distributed_cc
-    return distributed_cc(
-        graph,
-        DistributedOptions(num_ranks=num_ranks, algorithm=algorithm,
-                           partition=partition, combining=combining,
-                           zero_planting=zero_planting,
-                           zero_convergence=zero_convergence,
-                           dedup_sends=dedup_sends,
-                           max_supersteps=max_supersteps,
-                           backend=backend),
-        dataset=dataset)
+    return distributed_cc(graph, DistributedOptions(**kw), dataset=dataset)
 
 
 #: Dispatch table.  Every entry has the uniform signature
@@ -125,8 +85,7 @@ def connected_components(graph: CSRGraph,
                          *,
                          machine: MachineSpec = SKYLAKEX,
                          dataset: str = "",
-                         options: Any = None,
-                         **kwargs) -> CCResult:
+                         options: Any = None) -> CCResult:
     """Compute connected components with the named algorithm.
 
     Parameters
@@ -144,9 +103,6 @@ def connected_components(graph: CSRGraph,
         ``None`` runs the algorithm's canonical configuration.
         ``"auto"`` routes with per-algorithm defaults and therefore
         accepts no options.
-    kwargs:
-        Deprecated keyword spelling of ``options`` (emits a
-        :class:`DeprecationWarning`; will be removed).
 
     Returns
     -------
@@ -154,7 +110,7 @@ def connected_components(graph: CSRGraph,
         Labels plus the full per-iteration trace.
     """
     if method == AUTO_METHOD:
-        if options is not None or kwargs:
+        if options is not None:
             raise ValueError(
                 "method='auto' picks the algorithm itself and takes "
                 "no options; pass an explicit method to tune it")
@@ -166,7 +122,7 @@ def connected_components(graph: CSRGraph,
         raise ValueError(
             f"unknown method {method!r}; pick one of "
             f"{sorted([*ALGORITHMS, AUTO_METHOD])}") from None
-    opts = resolve_options(method, options, kwargs)
+    opts = resolve_options(method, options)
     return fn(graph, machine=machine, dataset=dataset,
               **to_call_kwargs(opts))
 
@@ -176,8 +132,7 @@ def num_components(graph: CSRGraph,
                    *,
                    machine: MachineSpec = SKYLAKEX,
                    dataset: str = "",
-                   options: Any = None,
-                   **kwargs) -> int:
+                   options: Any = None) -> int:
     """Number of connected components (convenience wrapper).
 
     Same signature as :func:`connected_components`; every argument is
@@ -186,4 +141,4 @@ def num_components(graph: CSRGraph,
     """
     return connected_components(
         graph, method, machine=machine, dataset=dataset,
-        options=options, **kwargs).num_components
+        options=options).num_components

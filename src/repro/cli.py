@@ -506,8 +506,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             fh.write(text)
         print(f"wrote {args.out} ({len(text)} chars)")
         return 0
-    return 1  # pragma: no cover
+    return 1
 
 
-if __name__ == "__main__":   # pragma: no cover
+if __name__ == "__main__":
     sys.exit(main())

@@ -95,7 +95,7 @@ def sample_bfs(graph: CSRGraph, parent: np.ndarray,
         pos = np.concatenate([
             np.arange(o, o + c) for o, c in zip(offsets, counts)]) \
             if frontier.size < 10_000 else None
-        if pos is None:   # pragma: no cover - large-frontier fallback
+        if pos is None:  # large-frontier fallback
             from ..core.kernels import concat_adjacency
             dst, counts = concat_adjacency(graph, frontier)
             src = np.repeat(frontier, counts)

@@ -27,10 +27,8 @@ state, and the serving layer keys caches and learned costs per
 backend.
 
 The implementation modules (``_numpy``, ``_numba``) are
-backend-private: importing them directly emits a
-:class:`DeprecationWarning` (an error under pytest).  Use the
-registry, or the :mod:`repro.core.kernels` facade for the default
-backend.
+backend-private: use the registry, or the :mod:`repro.core.kernels`
+facade for the default backend.
 """
 
 from __future__ import annotations
@@ -40,6 +38,8 @@ import warnings
 from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
+
+from ._numpy import NumpyBackend
 
 __all__ = [
     "KernelBackend",
@@ -54,38 +54,6 @@ __all__ = [
 #: The backend ``None`` resolves to everywhere a ``backend`` option is
 #: accepted — the canonical numpy implementation.
 DEFAULT_BACKEND = "numpy"
-
-_PRIVATE_DEPRECATION = (
-    "importing backend-private module {name} directly is deprecated; "
-    "use repro.core.backends.get_backend() or the repro.core.kernels "
-    "facade instead")
-
-# Incremented around sanctioned imports (the registry importing its
-# own implementation modules); any other import warns.
-_SANCTIONED_IMPORTS = 0
-
-
-def _check_sanctioned_import(name: str) -> None:
-    """Warn when a backend-private module is imported directly.
-
-    Called at the top of ``_numpy``/``_numba``.  The registry wraps
-    its own imports in :func:`_sanctioned`; a first import arriving
-    any other way gets the deprecation (re-imports are served from
-    ``sys.modules`` and never re-execute this).
-    """
-    if _SANCTIONED_IMPORTS == 0:
-        warnings.warn(_PRIVATE_DEPRECATION.format(name=name),
-                      DeprecationWarning, stacklevel=3)
-
-
-def _sanctioned(module: str) -> Any:
-    """Import a backend-private module without the deprecation."""
-    global _SANCTIONED_IMPORTS
-    _SANCTIONED_IMPORTS += 1
-    try:
-        return importlib.import_module(module, __name__)
-    finally:
-        _SANCTIONED_IMPORTS -= 1
 
 
 @runtime_checkable
@@ -187,9 +155,9 @@ def _probe_numba() -> None:
     except Exception:
         return
     try:
-        mod = _sanctioned("._numba")
-        register_backend("numba", mod.NumbaBackend())
-    except Exception as exc:  # pragma: no cover - env-specific
+        from ._numba import NumbaBackend
+        register_backend("numba", NumbaBackend())
+    except Exception as exc:
         warnings.warn(
             f"numba is importable but the numba backend failed to "
             f"load ({exc!r}); continuing with numpy only",
@@ -261,4 +229,4 @@ def canonical_backend(name: str | None) -> str | None:
     return None if name == DEFAULT_BACKEND else name
 
 
-register_backend("numpy", _sanctioned("._numpy").NumpyBackend())
+register_backend("numpy", NumpyBackend())

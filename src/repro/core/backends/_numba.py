@@ -32,10 +32,7 @@ import numpy as np
 from numba import njit
 
 from ...graph.csr import CSRGraph
-from . import _check_sanctioned_import
 from ._numpy import NumpyBackend
-
-_check_sanctioned_import(__name__)
 
 _INT64_MAX = np.iinfo(np.int64).max
 

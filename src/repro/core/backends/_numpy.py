@@ -1,12 +1,10 @@
 """Canonical numpy kernel implementations (backend-private).
 
-This module is backend-private: import it through
+This module is backend-private: use it through
 :func:`repro.core.backends.get_backend` (or the
-:mod:`repro.core.kernels` facade), not directly.  A direct import
-emits a :class:`DeprecationWarning` — promoted to an error under
-pytest — because the set of modules is an implementation detail of
-the registry: compiled backends subclass :class:`NumpyBackend` and
-must stay free to reorganize these files.
+:mod:`repro.core.kernels` facade).  The set of modules is an
+implementation detail of the registry: compiled backends subclass
+:class:`NumpyBackend` and must stay free to reorganize these files.
 
 The kernels are the batch equivalents of the paper's C inner loops:
 
@@ -44,9 +42,6 @@ from __future__ import annotations
 import numpy as np
 
 from ...graph.csr import CSRGraph
-from . import _check_sanctioned_import
-
-_check_sanctioned_import(__name__)
 
 _INT64_MAX = np.iinfo(np.int64).max
 

@@ -4,13 +4,7 @@ Distributed Thrifty-style LP and distributed FastSV run over the same
 bandwidth-accounted message fabric; runs are reachable through the
 typed front door (``connected_components(graph, "distributed",
 options=DistributedOptions(...))``), the service planner and the CLI.
-
-The legacy ``DistributedLPOptions`` name is a deprecated alias of
-:class:`repro.options.DistributedOptions` (import-time
-``DeprecationWarning``, promoted to an error under pytest).
 """
-
-import warnings
 
 from ..options import DistributedOptions
 from .comm import CommStats, Fabric
@@ -37,14 +31,3 @@ __all__ = [
     "edge_cut",
 ]
 
-
-def __getattr__(name: str):
-    if name == "DistributedLPOptions":
-        warnings.warn(
-            "DistributedLPOptions is deprecated; use "
-            "repro.options.DistributedOptions (same fields, plus the "
-            "sharded-tier ones: algorithm, partition, combining)",
-            DeprecationWarning, stacklevel=2)
-        return DistributedOptions
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}")

@@ -77,7 +77,7 @@ def run_trials(graph: CSRGraph, method: str,
         raise ValueError("num_trials must be >= 1")
     spec = MACHINES[machine] if isinstance(machine, str) else machine
     vary_seed = options is None
-    base_options = resolve_options(method, options, {})
+    base_options = resolve_options(method, options)
     seeded = any(f.name == "seed" for f in fields(base_options))
     stats = TrialStats(method=method, machine=spec.name)
     for trial in range(num_trials):

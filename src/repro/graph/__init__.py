@@ -16,7 +16,6 @@ from .datasets import (
     ROAD_DATASET_NAMES,
     DatasetSpec,
     extract_giant_component,
-    load_dataset,
 )
 from .generators import (
     barabasi_albert_graph,
@@ -31,13 +30,7 @@ from .generators import (
     with_dust_components,
     with_tendrils,
 )
-from .io import (
-    load_csr_npz,
-    load_edge_list_text,
-    load_graph,
-    save_csr_npz,
-    save_edge_list_text,
-)
+from .io import save_csr_npz, save_edge_list_text
 from .properties import (
     DegreeStats,
     component_labels_reference,
@@ -76,13 +69,9 @@ __all__ = [
     "POWER_LAW_DATASET_NAMES",
     "ROAD_DATASET_NAMES",
     "LARGE_DATASET_NAMES",
-    "load_dataset",
     "extract_giant_component",
-    "load_edge_list_text",
     "save_edge_list_text",
-    "load_csr_npz",
     "save_csr_npz",
-    "load_graph",
     "rmat_graph",
     "chung_lu_graph",
     "barabasi_albert_graph",

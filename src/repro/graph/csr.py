@@ -149,6 +149,6 @@ class CSRGraph:
         return np.repeat(np.arange(self.num_vertices, dtype=np.int64),
                          self.degrees)
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return (f"CSRGraph(|V|={self.num_vertices}, "
                 f"|E|={self.num_undirected_edges} undirected)")

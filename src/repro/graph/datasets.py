@@ -45,7 +45,6 @@ __all__ = [
     "POWER_LAW_DATASET_NAMES",
     "ROAD_DATASET_NAMES",
     "LARGE_DATASET_NAMES",
-    "load_dataset",
     "extract_giant_component",
 ]
 
@@ -258,13 +257,3 @@ def _load_dataset(name: str, scale: float = 1.0) -> CSRGraph:
         known = ", ".join(DATASETS)
         raise KeyError(f"unknown dataset {name!r}; known: {known}") from None
     return spec.build(scale)
-
-
-def load_dataset(name: str, scale: float = 1.0) -> CSRGraph:
-    """Deprecated shim: use ``repro.graph.load(name, scale=...)``."""
-    import warnings
-    warnings.warn(
-        "legacy graph loader load_dataset() is deprecated; use "
-        "repro.graph.load(name, scale=...) instead",
-        DeprecationWarning, stacklevel=2)
-    return _load_dataset(name, scale)

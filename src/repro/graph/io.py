@@ -5,19 +5,18 @@ shape as SNAP / KONECT / NetworkRepository downloads, so real datasets
 drop in unchanged if available.  The .npz format stores the CSR arrays
 directly and round-trips losslessly.
 
-The public ``load_*`` readers are **deprecated shims** (promoted to
-errors under pytest, the PR 4/5 convention): graph ingestion goes
-through the one front door, :func:`repro.graph.load`, which dispatches
-on the source kind — in-memory CSR, COO edge list, dataset name,
-serialized file, or out-of-core blocked file.  The savers remain
-first-class (there is exactly one writer per format).
+Graph ingestion goes through the one front door,
+:func:`repro.graph.load`, which dispatches on the source kind —
+in-memory CSR, COO edge list, dataset name, serialized file, or
+out-of-core blocked file — and reaches the private ``_load_*`` readers
+here through :func:`_load_file`.  The savers are public (there is
+exactly one writer per format).
 """
 
 from __future__ import annotations
 
 import io
 import os
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,23 +26,10 @@ from .coo import EdgeList
 from .csr import CSRGraph
 
 __all__ = [
-    "load_edge_list_text",
     "save_edge_list_text",
-    "load_csr_npz",
     "save_csr_npz",
-    "load_matrix_market",
     "save_matrix_market",
-    "load_konect",
-    "load_graph",
 ]
-
-_SHIM_MESSAGE = ("legacy graph loader {name}() is deprecated; use "
-                 "repro.graph.load({hint}) instead")
-
-
-def _warn_shim(name: str, hint: str) -> None:
-    warnings.warn(_SHIM_MESSAGE.format(name=name, hint=hint),
-                  DeprecationWarning, stacklevel=3)
 
 
 def _load_edge_list_text(path: str | os.PathLike | io.TextIOBase,
@@ -69,15 +55,6 @@ def _load_edge_list_text(path: str | os.PathLike | io.TextIOBase,
     return EdgeList(arr[:, 0], arr[:, 1], n)
 
 
-def load_edge_list_text(path: str | os.PathLike | io.TextIOBase,
-                        *, num_vertices: int | None = None) -> EdgeList:
-    """Deprecated shim: parse a whitespace edge list (`#` comments).
-
-    Use :func:`repro.graph.load` (which builds a CSR directly) instead.
-    """
-    _warn_shim("load_edge_list_text", "path")
-    return _load_edge_list_text(path, num_vertices=num_vertices)
-
 
 def save_edge_list_text(edges: EdgeList,
                         path: str | os.PathLike,
@@ -99,11 +76,6 @@ def _load_csr_npz(path: str | os.PathLike) -> CSRGraph:
     with np.load(path) as data:
         return CSRGraph(data["indptr"], data["indices"])
 
-
-def load_csr_npz(path: str | os.PathLike) -> CSRGraph:
-    """Deprecated shim: use :func:`repro.graph.load` instead."""
-    _warn_shim("load_csr_npz", "path")
-    return _load_csr_npz(path)
 
 
 def _load_matrix_market(path: str | os.PathLike | io.TextIOBase
@@ -142,16 +114,6 @@ def _load_matrix_market(path: str | os.PathLike | io.TextIOBase
     return EdgeList(src, dst, n)
 
 
-def load_matrix_market(path: str | os.PathLike | io.TextIOBase
-                       ) -> EdgeList:
-    """Deprecated shim: parse a MatrixMarket coordinate file.
-
-    MatrixMarket is 1-indexed; ids are shifted to 0-based.  Use
-    :func:`repro.graph.load` instead.
-    """
-    _warn_shim("load_matrix_market", "path")
-    return _load_matrix_market(path)
-
 
 def save_matrix_market(edges: EdgeList, path: str | os.PathLike,
                        *, comment: str | None = None) -> None:
@@ -187,14 +149,6 @@ def _load_konect(path: str | os.PathLike | io.TextIOBase) -> EdgeList:
     return EdgeList(arr[:, 0], arr[:, 1], int(arr.max()) + 1)
 
 
-def load_konect(path: str | os.PathLike | io.TextIOBase) -> EdgeList:
-    """Deprecated shim: parse a KONECT ``out.*`` file (1-based ids).
-
-    Use :func:`repro.graph.load` instead.
-    """
-    _warn_shim("load_konect", "path")
-    return _load_konect(path)
-
 
 def _load_file(path: str | os.PathLike, **build_kwargs) -> CSRGraph:
     """Extension-dispatched file loader (the front door's file leg).
@@ -211,9 +165,3 @@ def _load_file(path: str | os.PathLike, **build_kwargs) -> CSRGraph:
     if p.name.startswith("out."):
         return build_graph(_load_konect(p), **build_kwargs)
     return build_graph(_load_edge_list_text(p), **build_kwargs)
-
-
-def load_graph(path: str | os.PathLike, **build_kwargs) -> CSRGraph:
-    """Deprecated shim: use :func:`repro.graph.load` instead."""
-    _warn_shim("load_graph", "path")
-    return _load_file(path, **build_kwargs)

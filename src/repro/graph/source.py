@@ -10,15 +10,11 @@ through here.  ``load`` accepts any of:
   ``(src, dst)`` array pair or a sequence of ``(u, v)`` pairs),
   normalized through :func:`~repro.graph.builders.build_graph`;
 * a Table II dataset name (``"Twtr"``, ``"GBRd"``, ...), built and
-  memoized exactly as the legacy ``load_dataset`` was — repeated
-  ``load(name, scale=s)`` calls return the *same* object;
+  memoized — repeated ``load(name, scale=s)`` calls return the *same*
+  object;
 * a file path: blocked-CSR (``.rbcsr`` / magic-sniffed — opened
   streaming, not materialized), ``.npz`` CSR snapshots, ``.mtx``
   MatrixMarket, KONECT ``out.*`` files, or whitespace edge-list text.
-
-The legacy scattered loaders (``graph.io`` readers,
-``datasets.load_dataset``) are DeprecationWarning shims over the same
-implementations — promoted to errors under pytest.
 """
 
 from __future__ import annotations

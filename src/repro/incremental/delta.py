@@ -54,7 +54,7 @@ class MergeDelta:
             "relabeled": self.relabeled,
         }
 
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+    def __repr__(self) -> str:
         return (f"MergeDelta(merges={self.num_merges}, "
                 f"edges={self.edges}, relabeled={self.relabeled})")
 

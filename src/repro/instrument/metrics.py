@@ -110,6 +110,6 @@ class LatencyHistogram:
         return [(self._upper_bound(i), c)
                 for i, c in enumerate(self.counts) if c]
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         return (f"LatencyHistogram(count={self.count}, "
                 f"mean={self.mean_ms:.3g}ms, max={self.max_ms:.3g}ms)")

@@ -6,7 +6,7 @@ instance via ``connected_components(graph, method, options=...)``.
 Because the classes are frozen and hold only scalars, an options value
 is hashable and comparable — the service layer uses the resolved
 instance directly as part of its result-cache key, so two requests
-that spell the same configuration differently (legacy keywords,
+that spell the same configuration differently (``options=None``,
 defaulted fields, an explicitly constructed dataclass) canonicalize to
 the same cache entry.
 
@@ -28,9 +28,10 @@ the same cache entry.
 LP-family fields default to ``None`` meaning "keep the algorithm's
 canonical value" (:data:`repro.core.thrifty.THRIFTY_OPTIONS` etc.), so
 a default-constructed options object reproduces the historical
-behaviour bit-for-bit.  The legacy ``**kwargs`` spelling still works
-through :func:`resolve_options`, which maps the keywords onto the
-dataclass and emits a :class:`DeprecationWarning`.
+behaviour bit-for-bit.  The options carry tunings only: bit-identical
+reference strategies (per-block pull, per-chunk push, all-vertex
+union-find) are reachable through :class:`repro.core.engine.LPOptions`
+and the algorithms' own keyword arguments, not through this module.
 
 Every engine-bearing options class carries a ``backend`` field naming
 the kernel backend the run dispatches its hot kernels through
@@ -44,7 +45,6 @@ mix backends.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -72,11 +72,6 @@ __all__ = [
     "to_call_kwargs",
 ]
 
-_DEPRECATION_MESSAGE = (
-    "passing algorithm options as **kwargs is deprecated; pass a typed "
-    "options dataclass instead, e.g. options={cls}({kwargs})")
-
-
 @dataclass(frozen=True)
 class _LPEngineOptions:
     """Shared tunables of the label-propagation engine front doors.
@@ -100,8 +95,6 @@ class _LPEngineOptions:
     block_size: int | None = None
     partitions_per_thread: int | None = None
     frontier_switch_density: float | None = None
-    fuse_pull_blocks: bool | None = None
-    fuse_push: bool | None = None
     race_rate: float | None = None
     max_iterations: int | None = None
     track_convergence: bool | None = None
@@ -137,13 +130,10 @@ class UnifiedOptions(_LPEngineOptions):
 class UnionFindOptions:
     """Tunables shared by the tree-hooking baselines (``sv``).
 
-    ``local`` selects the worklist-local union-find substrate (the
-    default); ``False`` replays the all-vertex reference with
-    identical labels and link counts.  ``backend`` selects the kernel
-    backend for the link/hook scatters (bit-identical results).
+    ``backend`` selects the kernel backend for the link/hook scatters
+    (bit-identical results).
     """
 
-    local: bool = True
     backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -316,7 +306,6 @@ class ConnectItOptions:
     sampling: str = "kout"
     finish: str = "skip-giant"
     seed: int = 0
-    local: bool = True
     k: int | None = None
     rounds: int | None = None
 
@@ -370,34 +359,18 @@ def to_call_kwargs(options: Any) -> dict[str, Any]:
             if (v := getattr(options, f.name)) is not None}
 
 
-def resolve_options(method: str, options: Any,
-                    legacy_kwargs: dict[str, Any],
-                    *, stacklevel: int = 3) -> Any:
-    """Canonicalize the (options=, **kwargs) front-door inputs.
+def resolve_options(method: str, options: Any) -> Any:
+    """Canonicalize the front door's ``options=`` input.
 
-    Exactly one spelling may be used.  Legacy keywords are mapped onto
-    the method's dataclass with a :class:`DeprecationWarning`; a
-    ``None`` options value resolves to the method's defaults.  The
-    returned instance is always of ``OPTION_TYPES[method]`` exactly,
-    making it safe to use as a canonical cache-key component.
+    ``None`` resolves to the method's defaults.  The returned instance
+    is always of ``OPTION_TYPES[method]`` exactly, making it safe to
+    use as a canonical cache-key component.
     """
     cls = OPTION_TYPES.get(method)
     if cls is None:
         raise ValueError(
             f"unknown method {method!r}; pick one of "
             f"{sorted([*OPTION_TYPES, 'auto'])}")
-    if legacy_kwargs:
-        if options is not None:
-            raise ValueError(
-                "pass either options= or legacy keyword options, "
-                "not both")
-        rendered = ", ".join(f"{k}={v!r}"
-                             for k, v in legacy_kwargs.items())
-        warnings.warn(
-            _DEPRECATION_MESSAGE.format(cls=cls.__name__,
-                                        kwargs=rendered),
-            DeprecationWarning, stacklevel=stacklevel)
-        return options_for(method, **legacy_kwargs)
     if options is None:
         return cls()
     if type(options) is not cls:

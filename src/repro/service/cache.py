@@ -6,9 +6,8 @@ re-run" but a dictionary move-to-front.  The key is fully canonical:
 * the graph enters as its content fingerprint, so equal graphs share
   entries regardless of object identity;
 * options enter as the resolved frozen dataclass (every front door
-  path — typed, legacy kwargs, defaults — normalizes to one), so
-  ``ThriftyOptions()`` and ``options=None`` and ``**{}`` all hit the
-  same entry;
+  path — typed or defaulted — normalizes to one), so
+  ``ThriftyOptions()`` and ``options=None`` hit the same entry;
 * the machine enters by name (MachineSpec instances are frozen and
   registry-owned, but the name keeps keys printable).
 

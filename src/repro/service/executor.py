@@ -224,10 +224,9 @@ class _Job:
     lane: int
     predicted_ms: float
     members: list[_Member]
-    # A cache hit whose recorded run blew this request's budget, with
-    # the fallback result evicted: the job runs the fallback only,
+    # A cache hit whose recorded run blew this job's budget, with the
+    # fallback result not cached: the job runs the fallback only,
     # with the outcome flags preset (the primary is known-blown).
-    preset_exceeded: bool = False
     preset_fallback: bool = False
     primary_method: str = ""      # routed method, for metrics attribution
     # Serve this job by delta-updating the plan's cached seed labels
@@ -468,7 +467,7 @@ class CCService:
         elif method not in ALGORITHMS:
             known = sorted([*ALGORITHMS, AUTO_METHOD])
             raise ValueError(f"unknown method {method!r}; known: {known}")
-        options = resolve_options(method, request.options, {})
+        options = resolve_options(method, request.options)
         if (route is not None and route.storage == "out_of_core"
                 and hasattr(options, "storage")):
             # The planner's fit decision becomes engine configuration:
@@ -488,43 +487,39 @@ class CCService:
                          auto_routed=route is not None)
 
         cached = self.cache.get(cache_key)
-        preset_fb = False
+        if cached is not None and self._replay_hit(
+                member, entry, method, cache_key, cached, now,
+                queue_delay_ms=None, attributed=attributed):
+            return
+        opts = self.options
+        job = _Job(entry=entry, method=method, options=options,
+                   cache_key=cache_key,
+                   coalesce_key=(cache_key, request.budget_ms),
+                   budget_ms=request.budget_ms, tenant=request.tenant,
+                   lane=min(max(request.priority, 0), opts.num_lanes - 1),
+                   predicted_ms=0.0, members=[member],
+                   primary_method=attributed)
         if cached is not None:
-            hit = self._replay_hit(member, entry, method, cache_key,
-                                   cached, now, queue_delay_ms=None,
-                                   attributed=attributed)
-            if hit:
-                return
             # Recorded run blew this budget and the fallback result
-            # is gone from the cache: run the fallback as a job with
-            # the outcome flags preset.
-            preset_fb = True
-            primary_method = attributed
-            method = UF_METHOD
-            options = resolve_options(UF_METHOD, None, {})
-            cache_key = result_cache_key(entry.fingerprint, UF_METHOD,
-                                         self.machine.name, options)
-            coalesce_key = (cache_key, "replay")
-        else:
-            primary_method = attributed
-            coalesce_key = (cache_key, request.budget_ms)
+            # is gone from the cache.
+            job = self._fallback_job(job)
+        method = job.method
 
-        inflight = self._inflight.get(coalesce_key)
+        inflight = self._inflight.get(job.coalesce_key)
         if inflight is not None:
             inflight.members.append(member)
             return
 
-        delta_plan = None if preset_fb else self._plan_delta(
-            entry, method, options, route)
+        if not job.preset_fallback:
+            job.delta = self._plan_delta(entry, method, options, route)
 
-        opts = self.options
         admission = (opts.max_queue_ms is not None
                      or opts.max_queue_depth is not None
                      or opts.tenant_quota_ms is not None)
-        if delta_plan is not None:
+        if job.delta is not None:
             # A delta job's honest admission weight is the touched-set
             # estimate, not the full-run prediction it avoids.
-            predicted = delta_plan.predicted_ms
+            predicted = job.delta.predicted_ms
         elif route is not None:
             predicted = route.predicted_ms
         elif admission:
@@ -554,21 +549,31 @@ class CCService:
                 self._reject(member, entry, method, REJECT_QUEUE_FULL)
                 return
 
-        lane = min(max(request.priority, 0), opts.num_lanes - 1)
-        job = _Job(entry=entry, method=method, options=options,
-                   cache_key=cache_key, coalesce_key=coalesce_key,
-                   budget_ms=None if preset_fb else request.budget_ms,
-                   tenant=tenant, lane=lane, predicted_ms=predicted,
-                   members=[member], preset_exceeded=preset_fb,
-                   preset_fallback=preset_fb,
-                   primary_method=primary_method, delta=delta_plan)
-        self._inflight[coalesce_key] = job
+        job.predicted_ms = predicted
+        self._inflight[job.coalesce_key] = job
         self._outstanding_ms[tenant] = \
             self._outstanding_ms.get(tenant, 0.0) + predicted
-        self._lanes[lane].setdefault(tenant, deque()).append(job)
+        self._lanes[job.lane].setdefault(tenant, deque()).append(job)
         self._queued_depth += 1
         self._queued_pred_ms += predicted
         self._dispatch(now)
+
+    def _fallback_job(self, job: _Job) -> _Job:
+        """``job`` turned into its preset union-find fallback job.
+
+        Used when a cache hit's recorded run blew the job's budget and
+        the fallback's cached result is gone: the job runs the
+        fallback only, with the outcome flags preset (the primary is
+        known-blown).  Its members share one budget, so they share the
+        one fallback run; any blown budget coalesces onto it.
+        """
+        options = resolve_options(UF_METHOD, None)
+        cache_key = result_cache_key(job.entry.fingerprint, UF_METHOD,
+                                     self.machine.name, options)
+        return replace(job, method=UF_METHOD, options=options,
+                       cache_key=cache_key,
+                       coalesce_key=(cache_key, "replay"), budget_ms=None,
+                       preset_fallback=True, delta=None)
 
     # -- dispatch / execution -----------------------------------------
 
@@ -610,20 +615,34 @@ class CCService:
         re-check is an internal probe, not a client lookup: it goes
         through ``peek`` so it cannot inflate the cache hit rate (the
         members' arrival-time lookups already counted their misses).
+        When the cached run blew the job's budget and the fallback's
+        result is not cached, the whole job becomes one fallback job,
+        joining an in-flight one when there is one.
         """
         cached = self.cache.peek(job.cache_key)
         if cached is not None and not job.preset_fallback:
             self.cache.touch(job.cache_key)
             self._inflight.pop(job.coalesce_key, None)
-            self._release_outstanding(job)
-            for member in job.members:
-                served = self._replay_hit(
-                    member, job.entry, job.method, job.cache_key,
-                    cached, now, queue_delay_ms=now - member.arrival_ms)
-                if not served:  # pragma: no cover - needs mid-queue
-                    # eviction of the fallback entry; re-run for safety
-                    self._run_fallback_inline(member, job, now)
-            return True
+            # Members share one budget, so the replay outcome is the
+            # same for all of them: every member is served, or none is.
+            first, *waiters = job.members
+            if self._replay_hit(first, job.entry, job.method,
+                                job.cache_key, cached, now,
+                                queue_delay_ms=now - first.arrival_ms):
+                self._release_outstanding(job)
+                for member in waiters:
+                    self._replay_hit(
+                        member, job.entry, job.method, job.cache_key,
+                        cached, now,
+                        queue_delay_ms=now - member.arrival_ms)
+                return True
+            job = self._fallback_job(job)
+            inflight = self._inflight.get(job.coalesce_key)
+            if inflight is not None:
+                inflight.members.extend(job.members)
+                self._release_outstanding(job)
+                return True
+            self._inflight[job.coalesce_key] = job
         job.start_ms = now
         self._running += 1
         self._execute(job)
@@ -652,16 +671,14 @@ class CCService:
         job.cache_puts.append((job.cache_key, result, sim_ms))
         job.total_ms = sim_ms
         job.final_method, job.final_result = job.method, result
-        job.exceeded = job.preset_exceeded
-        job.fallback = job.preset_fallback
-        if (job.budget_ms is not None and sim_ms > job.budget_ms
-                and not job.preset_exceeded):
+        job.exceeded = job.fallback = job.preset_fallback
+        if job.budget_ms is not None and sim_ms > job.budget_ms:
             job.exceeded = True
             if job.method != UF_METHOD:
                 # The budget is already blown; finish with the
                 # strongest union-find baseline and charge for both
                 # runs — the honest cost of a mispredicted route.
-                fb_options = resolve_options(UF_METHOD, None, {})
+                fb_options = resolve_options(UF_METHOD, None)
                 fb_result, fb_ms = self._run(job.entry, UF_METHOD,
                                              fb_options)
                 self._observe_run(job.entry, UF_METHOD, fb_ms,
@@ -674,25 +691,6 @@ class CCService:
                 job.final_method, job.final_result = UF_METHOD, fb_result
                 job.total_ms = sim_ms + fb_ms
                 job.fallback = True
-
-    def _run_fallback_inline(self, member: _Member, job: _Job,
-                             now: float) -> None:  # pragma: no cover
-        """Degenerate dequeue path: replay needs a fallback re-run."""
-        fb_job = _Job(entry=job.entry, method=UF_METHOD,
-                      options=resolve_options(UF_METHOD, None, {}),
-                      cache_key=result_cache_key(
-                          job.entry.fingerprint, UF_METHOD,
-                          self.machine.name,
-                          resolve_options(UF_METHOD, None, {})),
-                      coalesce_key=(job.cache_key, "replay"),
-                      budget_ms=None, tenant=member.request.tenant,
-                      lane=job.lane, predicted_ms=job.predicted_ms,
-                      members=[member], preset_exceeded=True,
-                      preset_fallback=True, primary_method=job.method)
-        fb_job.start_ms = now
-        self._running += 1
-        self._execute(fb_job)
-        self._push(now + fb_job.total_ms, _FINISH, fb_job)
 
     # -- completion ---------------------------------------------------
 
@@ -765,7 +763,7 @@ class CCService:
             exceeded = True
             replayed = True
             if method != UF_METHOD:
-                fb_options = resolve_options(UF_METHOD, None, {})
+                fb_options = resolve_options(UF_METHOD, None)
                 fb_key = result_cache_key(entry.fingerprint, UF_METHOD,
                                           self.machine.name, fb_options)
                 # Internal probe for the replay contract, not a client

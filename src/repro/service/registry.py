@@ -89,7 +89,7 @@ def _freeze(graph: CSRGraph) -> None:
             continue
         try:
             flags.writeable = False
-        except ValueError:  # pragma: no cover - non-owning base array
+        except ValueError:  # non-owning base array
             pass
 
 
@@ -180,7 +180,7 @@ class GraphEntry:
             self.probe_computations += 1
         return self._probes
 
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
+    def __repr__(self) -> str:
         label = self.name or self.fingerprint
         return (f"GraphEntry({label}, n={self.graph.num_vertices}, "
                 f"m={self.graph.num_edges})")

@@ -1,6 +1,5 @@
 """Tests for the public front door."""
 
-import numpy as np
 import pytest
 
 from repro import (
@@ -53,20 +52,6 @@ class TestDispatch:
                                  options=ThriftyOptions(threshold=0.2))
         validate_against_reference(small_skewed, r)
 
-    def test_legacy_kwargs_bit_identical_with_warning(self, small_skewed):
-        typed = connected_components(small_skewed, "thrifty",
-                                     options=ThriftyOptions(threshold=0.2))
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = connected_components(small_skewed, "thrifty",
-                                          threshold=0.2)
-        assert np.array_equal(typed.labels, legacy.labels)
-        assert typed.counters().as_dict() == legacy.counters().as_dict()
-
-    def test_options_and_kwargs_conflict(self, triangle):
-        with pytest.raises(ValueError, match="not both"):
-            connected_components(triangle, "thrifty",
-                                 options=ThriftyOptions(), threshold=0.2)
-
     def test_wrong_options_type(self, triangle):
         with pytest.raises(TypeError, match="ThriftyOptions"):
             connected_components(triangle, "thrifty",
@@ -95,7 +80,7 @@ class TestAutoRouting:
         with pytest.raises(ValueError, match="auto"):
             connected_components(small_skewed, "auto",
                                  options=ThriftyOptions())
-        with pytest.raises(ValueError, match="auto"):
+        with pytest.raises(TypeError, match="threshold"):
             connected_components(small_skewed, "auto", threshold=0.1)
 
     def test_unknown_method_error_lists_auto(self, triangle):

@@ -12,14 +12,11 @@ registrable in good standing:
   counters — across the graph zoo, plus determinism (same seed, same
   backend, twice → identical everything);
 * the registry/validation API contract, including the one sanctioned
-  extension point and the backend-private import deprecation;
+  extension point;
 * serving-layer canonicalization: option spellings of the default
   backend collapse to one cache key, and feedback/metrics attribute
   per backend so learned costs never mix.
 """
-
-import importlib
-import sys
 
 import numpy as np
 import pytest
@@ -87,21 +84,6 @@ class TestRegistry:
         for name in BACKENDS:
             if name != DEFAULT_BACKEND:
                 assert canonical_backend(name) == name
-
-    def test_private_import_warns(self):
-        """A direct import of a backend-private module deprecates.
-
-        Re-imports are served from ``sys.modules`` (and never warn),
-        so the module is popped first; the registry keeps the backend
-        *object* it constructed, so behaviour is unaffected.
-        """
-        saved = sys.modules.pop("repro.core.backends._numpy")
-        try:
-            with pytest.warns(DeprecationWarning,
-                              match="backend-private"):
-                importlib.import_module("repro.core.backends._numpy")
-        finally:
-            sys.modules["repro.core.backends._numpy"] = saved
 
 
 # -- kernel-by-kernel equality vs the numpy oracle -------------------

@@ -324,12 +324,6 @@ class TestFrontDoorIntegration:
         validate_against_reference(small_skewed, r)
         assert "comm" in r.extras
 
-    def test_legacy_name_warns_and_aliases(self):
-        import repro.distributed as dist
-        with pytest.warns(DeprecationWarning, match="DistributedLPOptions"):
-            legacy = dist.DistributedLPOptions
-        assert legacy is DistributedOptions
-
     def test_unknown_attribute_raises(self):
         import repro.distributed as dist
         with pytest.raises(AttributeError):

@@ -114,55 +114,6 @@ class TestLoad:
         assert not g.has_edge(0, 0)     # self-loops dropped by default
 
 
-class TestLegacyShims:
-    """The legacy loaders warn; pyproject promotes the warning to an
-    error everywhere except inside an explicit ``pytest.warns``."""
-
-    def test_load_dataset_warns(self):
-        from repro.graph import load_dataset
-        with pytest.warns(DeprecationWarning, match="legacy graph loader"):
-            g = load_dataset("Pkc", 0.2)
-        assert g is load("Pkc", 0.2)    # same memoized object
-
-    def test_load_graph_warns(self, graph, tmp_path):
-        from repro.graph import load_graph
-        path = tmp_path / "g.npz"
-        save_csr_npz(graph, path)
-        with pytest.warns(DeprecationWarning, match="legacy graph loader"):
-            g = load_graph(str(path))
-        assert np.array_equal(g.indices, graph.indices)
-
-    def test_reader_shims_warn(self, graph, tmp_path):
-        from repro.graph import load_csr_npz, load_edge_list_text
-
-        npz = tmp_path / "g.npz"
-        save_csr_npz(graph, npz)
-        with pytest.warns(DeprecationWarning, match="legacy graph loader"):
-            load_csr_npz(npz)
-        txt = tmp_path / "g.txt"
-        save_edge_list_text(graph.to_edge_list(), txt)
-        with pytest.warns(DeprecationWarning, match="legacy graph loader"):
-            load_edge_list_text(txt)
-
-    def test_shims_error_outside_warns_block(self):
-        from repro.graph import load_dataset
-        with pytest.raises(DeprecationWarning):
-            load_dataset("Pkc", 0.2)
-
-    def test_format_shims_warn(self, tmp_path):
-        from repro.graph.io import load_konect, load_matrix_market
-
-        mtx = tmp_path / "g.mtx"
-        mtx.write_text("%%MatrixMarket matrix coordinate pattern general\n"
-                       "3 3 2\n1 2\n2 3\n")
-        with pytest.warns(DeprecationWarning, match="legacy graph loader"):
-            load_matrix_market(mtx)
-        kon = tmp_path / "out.test"
-        kon.write_text("% sym\n1 2\n2 3\n")
-        with pytest.warns(DeprecationWarning, match="legacy graph loader"):
-            load_konect(kon)
-
-
 class TestEquivalence:
     """One content, four doors: every spelling yields the same graph."""
 

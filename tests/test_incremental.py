@@ -9,6 +9,8 @@ whole generator zoo for every method in ``DELTA_METHODS``.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -32,12 +34,25 @@ def undirected_pairs(graph: CSRGraph) -> tuple[np.ndarray, np.ndarray]:
     return src[mask], dst[mask]
 
 
-def split_graph(graph: CSRGraph, seed: int, fraction: float = 0.3
+def zoo_seed(zoo_name: str) -> int:
+    """A split seed stable across processes (``hash`` of a str is not)."""
+    return zlib.crc32(zoo_name.encode())
+
+
+def split_graph(graph: CSRGraph, seed: int, fraction: float = 0.3,
+                min_removed: int = 0
                 ) -> tuple[CSRGraph, np.ndarray, np.ndarray]:
-    """(base graph, removed src, removed dst): remove a random subset."""
+    """(base graph, removed src, removed dst): remove a random subset.
+
+    At least ``min_removed`` edges (capped at the edge count) are
+    removed, so the tiny zoo graphs still yield a batch to re-insert.
+    """
     src, dst = undirected_pairs(graph)
     rng = np.random.default_rng(seed)
     drop = rng.random(src.size) < fraction
+    short = min(min_removed, src.size) - int(drop.sum())
+    if short > 0:
+        drop[rng.choice(np.flatnonzero(~drop), short, replace=False)] = True
     kept = list(zip(src[~drop].tolist(), dst[~drop].tolist()))
     base = build_graph(from_pairs(kept, graph.num_vertices),
                        drop_zero_degree=False)
@@ -109,7 +124,8 @@ class TestDeltaBitIdentical:
 
     def test_remove_reinsert_matches_fresh_run(self, zoo_name, method):
         full = dict(graph_zoo())[zoo_name]
-        base, ins_src, ins_dst = split_graph(full, seed=hash(zoo_name) % 997)
+        base, ins_src, ins_dst = split_graph(
+            full, seed=zoo_seed(zoo_name), min_removed=1)
         if ins_src.size == 0:
             pytest.skip("nothing removed from this zoo graph")
         hub = (base.max_degree_vertex()
@@ -124,7 +140,8 @@ class TestDeltaBitIdentical:
 
     def test_chained_batches_match_fresh_run(self, zoo_name, method):
         full = dict(graph_zoo())[zoo_name]
-        base, ins_src, ins_dst = split_graph(full, seed=hash(zoo_name) % 991)
+        base, ins_src, ins_dst = split_graph(
+            full, seed=zoo_seed(zoo_name), min_removed=2)
         if ins_src.size < 2:
             pytest.skip("batch too small to chain")
         hub = (base.max_degree_vertex()

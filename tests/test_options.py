@@ -1,12 +1,31 @@
-"""Typed options front door: construction, canonicalization, shim."""
+"""Typed options front door: construction, canonicalization, and the
+removed compatibility surface."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
-from repro import ALGORITHMS, connected_components
+import repro.distributed
+import repro.graph
+import repro.graph.io
+from repro import ALGORITHMS, connected_components, num_components
+from repro.baselines import (
+    afforest_cc,
+    jayanti_tarjan_cc,
+    shiloach_vishkin_cc,
+)
+from repro.baselines.lp_shortcut import lp_shortcut_cc
+from repro.connectit import connectit_cc
+from repro.core import dolp_cc, thrifty_cc, unified_dolp_cc
+from repro.core.kla import kla_cc
+from repro.distributed import distributed_cc
+from repro.graph.generators import path_graph
 from repro.options import (
     OPTION_TYPES,
     AfforestOptions,
+    DistributedOptions,
+    KLAOptions,
     ThriftyOptions,
     options_for,
     resolve_options,
@@ -53,21 +72,27 @@ class TestOptionTypes:
 
 class TestResolveOptions:
     def test_none_resolves_to_defaults(self):
-        assert resolve_options("thrifty", None, {}) == ThriftyOptions()
-
-    def test_legacy_kwargs_warn_and_map(self):
-        with pytest.warns(DeprecationWarning, match="ThriftyOptions"):
-            opts = resolve_options("thrifty", None, {"threshold": 0.2})
-        assert opts == ThriftyOptions(threshold=0.2)
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ValueError, match="not both"):
-            resolve_options("thrifty", ThriftyOptions(),
-                            {"threshold": 0.2})
+        assert resolve_options("thrifty", None) == ThriftyOptions()
 
     def test_wrong_type_rejected(self):
         with pytest.raises(TypeError, match="AfforestOptions"):
-            resolve_options("afforest", ThriftyOptions(), {})
+            resolve_options("afforest", ThriftyOptions())
+
+
+#: Each method's algorithm called directly, bypassing the front door.
+DIRECT = {
+    "thrifty": thrifty_cc,
+    "dolp": dolp_cc,
+    "unified": unified_dolp_cc,
+    "sv": shiloach_vishkin_cc,
+    "jt": jayanti_tarjan_cc,
+    "afforest": afforest_cc,
+    "lp-shortcut": lp_shortcut_cc,
+    "connectit": connectit_cc,
+    "kla": lambda g, **kw: kla_cc(g, KLAOptions(**kw)),
+    "distributed": lambda g, **kw: distributed_cc(
+        g, DistributedOptions(**kw)),
+}
 
 
 class TestRoundTrip:
@@ -75,7 +100,7 @@ class TestRoundTrip:
         ("thrifty", {"threshold": 0.2, "num_threads": 4}),
         ("dolp", {"num_threads": 8}),
         ("unified", {"block_size": 32}),
-        ("sv", {"local": False}),
+        ("sv", {"backend": "numpy"}),
         ("jt", {"seed": 9}),
         ("afforest", {"neighbor_rounds": 1, "seed": 2}),
         ("lp-shortcut", {"shortcut_depth": 3}),
@@ -86,10 +111,54 @@ class TestRoundTrip:
     ])
     def test_legacy_and_typed_bit_identical(self, method, legacy,
                                             small_skewed):
+        """Typed options reproduce the algorithm called directly with
+        the same fields in its own (pre-options) keyword spelling."""
         typed = connected_components(
             small_skewed, method, options=options_for(method, **legacy))
-        with pytest.warns(DeprecationWarning):
-            shim = connected_components(small_skewed, method, **legacy)
-        assert np.array_equal(typed.labels, shim.labels)
-        assert typed.counters().as_dict() == shim.counters().as_dict()
-        assert typed.num_iterations == shim.num_iterations
+        direct = DIRECT[method](small_skewed, **legacy)
+        assert np.array_equal(typed.labels, direct.labels)
+        assert typed.counters().as_dict() == direct.counters().as_dict()
+        assert typed.num_iterations == direct.num_iterations
+
+
+_TINY = path_graph(3)
+
+#: The removed compatibility surface: a call and the error it raises.
+GONE = {
+    "front-door-kwargs": (
+        partial(connected_components, _TINY, "thrifty", threshold=0.2),
+        TypeError, "threshold"),
+    "num-components-kwargs": (
+        partial(num_components, _TINY, "thrifty", threshold=0.2),
+        TypeError, "threshold"),
+    **{f"graph.{name}": (partial(getattr, repro.graph, name),
+                         AttributeError, name)
+       for name in ("load_dataset", "load_graph", "load_csr_npz",
+                    "load_edge_list_text")},
+    **{f"graph.io.{name}": (partial(getattr, repro.graph.io, name),
+                            AttributeError, name)
+       for name in ("load_matrix_market", "load_konect")},
+    "DistributedLPOptions": (
+        partial(getattr, repro.distributed, "DistributedLPOptions"),
+        AttributeError, "DistributedLPOptions"),
+    "thrifty-fuse_push": (
+        partial(options_for, "thrifty", fuse_push=False),
+        ValueError, r"valid options: \[.*'threshold'"),
+    "thrifty-fuse_pull_blocks": (
+        partial(options_for, "thrifty", fuse_pull_blocks=False),
+        ValueError, r"valid options: \[.*'threshold'"),
+    "afforest-local": (
+        partial(options_for, "afforest", local=False), ValueError,
+        r"valid options: \['backend', 'neighbor_rounds', 'sample_size', "
+        r"'seed'\]"),
+    "connectit-local": (
+        partial(options_for, "connectit", local=False), ValueError,
+        r"valid options: \[.*'sampling'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GONE))
+def test_removed_surface_is_gone(name):
+    call, error, match = GONE[name]
+    with pytest.raises(error, match=match):
+        call()

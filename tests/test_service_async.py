@@ -87,6 +87,41 @@ class TestCoalescing:
         assert svc.metrics.cache_misses == 1 and svc.metrics.cache_hits == 1
 
 
+    def test_dequeued_budget_job_shares_one_fallback_run(self,
+                                                         monkeypatch):
+        # The budgeted pair coalesces into one job that dequeues after
+        # the unbudgeted run is cached; the replay finds no Afforest
+        # result, so the whole job becomes one fallback run.
+        from repro.api import ALGORITHMS
+        from repro.graph import load
+        runs = []
+        afforest = ALGORITHMS["afforest"]
+
+        def counting(*args, **kwargs):
+            runs.append(1)
+            return afforest(*args, **kwargs)
+
+        monkeypatch.setitem(ALGORITHMS, "afforest", counting)
+        svc = CCService()
+        svc.register(load("Pkc", 0.05), name="pkc")
+        _, r1, r2 = svc.run_trace([
+            CCRequest(key="pkc", method="thrifty", arrival_ms=0.0),
+            CCRequest(key="pkc", method="thrifty", arrival_ms=0.0,
+                      budget_ms=1e-6),
+            CCRequest(key="pkc", method="thrifty", arrival_ms=0.0,
+                      budget_ms=1e-6),
+        ])
+        assert len(runs) == 1
+        assert svc.metrics.fallbacks == 1
+        assert svc.metrics.coalesced == 1
+        assert r1.result is r2.result
+        for r in (r1, r2):
+            assert r.fallback and r.budget_exceeded
+            assert r.method == "afforest"
+        assert svc._outstanding_ms == {}
+        assert svc._running == 0
+
+
 class TestScheduling:
     def test_concurrency_overlaps_independent_jobs(self):
         seq = _service(concurrency=1)
