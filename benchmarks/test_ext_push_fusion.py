@@ -29,7 +29,7 @@ from conftest import SCALE, STRICT, run_once
 from repro.core.engine import LPOptions, _Engine
 from repro.experiments import format_table
 from repro.graph.generators import rmat_graph
-from repro.parallel import Frontier
+from repro.parallel import AdaptiveFrontier
 
 RMAT_SCALE = 18 if SCALE >= 0.75 else 15
 EDGE_FACTOR = 8
@@ -44,8 +44,7 @@ def _push_sweep(graph, fuse):
     best = float("inf")
     for _ in range(2):
         eng = _Engine(graph, LPOptions(fuse_push=fuse, **OPTIONS), "")
-        frontier = Frontier.of_vertices(
-            graph, np.arange(graph.num_vertices, dtype=np.int64))
+        frontier = AdaptiveFrontier.full(graph)
         drains, works = [], []
         t0 = time.perf_counter()
         while len(frontier):

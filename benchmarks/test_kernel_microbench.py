@@ -14,8 +14,8 @@ from repro.core.kernels import (
     pull_block,
     zero_cut_scan_lengths,
 )
+from repro.core.backends import get_backend
 from repro.graph.generators import rmat_graph
-from repro.parallel import batch_atomic_min
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +63,7 @@ def test_perf_batch_atomic_min(benchmark, bench_graph):
 
     def run():
         arr = np.full(n, n, dtype=np.int64)
-        return batch_atomic_min(arr, idx, val)
+        return get_backend().batch_atomic_min(arr, idx, val)
 
     changed = benchmark(run)
     assert changed.size > 0

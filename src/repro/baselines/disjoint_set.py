@@ -11,7 +11,7 @@ Three layers:
   concurrent hooking, used by the SV / JT / Afforest simulations.
   They operate on a parent array with NumPy scatter/gather; every
   round is a linearization of a batch of concurrent links, the same
-  modelling step as ``batch_atomic_min`` (see repro.parallel.atomics).
+  modelling step as the backends' ``batch_atomic_min``.
 * Shared accounting — :func:`charge_union` / :func:`charge_finds`
   apply the one per-edge counter recipe every union call site uses,
   so the recipe cannot drift between baselines (it used to be

@@ -25,8 +25,7 @@ The kernels are the batch equivalents of the paper's C inner loops:
 * :meth:`NumpyBackend.batch_atomic_min` /
   :meth:`NumpyBackend.scatter_min_count` — the linearized batch
   atomic-min scatter shared by the push engine and the union-find
-  hooks (see :mod:`repro.parallel.atomics` for the linearizability
-  argument).
+  hooks (the linearizability argument is on :func:`batch_atomic_min`).
 
 The kernels *compute* with whole-block batches but *account* work in
 the counters exactly as the modelled sequential/parallel C loops
@@ -338,7 +337,10 @@ def batch_atomic_min(array: np.ndarray,
     target indices whose cells actually changed (ascending).  This
     matches the set of vertices any real interleaving of CAS-min
     loops would enqueue (modulo duplicates, which the paper's shared
-    byte array also only suppresses best-effort).
+    byte array also only suppresses best-effort): ``np.minimum.at``
+    is an unbuffered scatter-min, the linearized effect of a batch of
+    CAS-min loops (Algorithm 1, line 13), and the *set* of changed
+    cells is interleaving-independent.
     """
     indices = np.asarray(indices)
     values = np.asarray(values)
@@ -357,7 +359,7 @@ def batch_atomic_min_count(array: np.ndarray,
                            values: np.ndarray) -> tuple[np.ndarray, int]:
     """Like :func:`batch_atomic_min`, also counting successful CAS ops.
 
-    The count approximates how many individual ``atomic_min`` calls
+    The count approximates how many individual CAS-min calls
     would have returned True in a sequential replay: for each target
     cell, every distinct strictly-decreasing value in arrival order
     would have succeeded once.  We report the linearized lower bound

@@ -505,7 +505,7 @@ class _Engine:
     def push(self, frontier) -> AdaptiveFrontier:
         """One push iteration from a detailed frontier.
 
-        Frontier vertices are drained through the per-thread local
+        The frontier's vertices are drained through the per-thread local
         worklists in chunks: the active worklist is split at
         *partition boundaries* first, then into ``block_size`` pieces
         within each partition, so every chunk lies in exactly one

@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..parallel.partition import edge_balanced_partitions
+from ..parallel.partition import (_edge_balanced_cut,
+                                  edge_balanced_partitions)
 
 __all__ = ["PARTITION_STRATEGIES", "rank_bounds", "rank_of_vertex",
            "edge_cut", "intra_rank_blocks"]
@@ -68,21 +69,10 @@ def intra_rank_blocks(graph: CSRGraph, lo: int, hi: int,
     The rank-local pull visits these blocks the way the shared-memory
     engine visits its partitions: converged (all-zero) blocks are
     skipped without touching their rows.  Same prefix-sum cut as
-    :func:`repro.parallel.partition.edge_balanced_partitions`, offset
-    into the rank's slice; blocks may be empty on extreme skew.
+    :func:`repro.parallel.partition.edge_balanced_partitions`, applied
+    to the rank's slice; blocks may be empty on extreme skew.
     """
     if hi <= lo:
         return np.array([lo, lo], dtype=np.int64)
-    num_blocks = max(1, min(num_blocks, hi - lo))
-    e0 = int(graph.indptr[lo])
-    e1 = int(graph.indptr[hi])
-    targets = e0 + (e1 - e0) * np.arange(1, num_blocks,
-                                         dtype=np.float64) / num_blocks
-    cut = lo + 1 + np.searchsorted(graph.indptr[lo + 1:hi],
-                                   targets, side="left")
-    bounds = np.empty(num_blocks + 1, dtype=np.int64)
-    bounds[0] = lo
-    bounds[1:-1] = np.minimum(cut, hi)
-    bounds[-1] = hi
-    np.maximum.accumulate(bounds, out=bounds)
-    return bounds
+    return _edge_balanced_cut(graph.indptr, lo, hi,
+                              max(1, min(num_blocks, hi - lo)))

@@ -1,4 +1,4 @@
-"""Simulated parallel runtime: machines, partitions, scheduling, atomics.
+"""Simulated parallel runtime: machines, partitions, scheduling, frontiers.
 
 This package is the substitution (DESIGN.md Section 2) for the paper's
 pthreads/futex/libnuma runtime: deterministic, instrumentable, and
@@ -6,8 +6,7 @@ faithful to the visit orders and thread-local structures the paper's
 algorithms rely on.
 """
 
-from .atomics import atomic_min, batch_atomic_min, batch_atomic_min_count
-from .frontier import AdaptiveFrontier, CountOnlyFrontier, Frontier
+from .frontier import AdaptiveFrontier, CountOnlyFrontier
 from .machine import EPYC, MACHINES, SKYLAKEX, MachineSpec
 from .partition import (
     PARTITIONS_PER_THREAD,
@@ -15,7 +14,7 @@ from .partition import (
     edge_balanced_partitions,
     vertex_balanced_partitions,
 )
-from .scheduler import ScheduleStep, WorkStealingScheduler, pick_steal_victim
+from .scheduler import ScheduleStep, WorkStealingScheduler
 from .worklist import LocalWorklists
 
 __all__ = [
@@ -29,12 +28,7 @@ __all__ = [
     "PARTITIONS_PER_THREAD",
     "WorkStealingScheduler",
     "ScheduleStep",
-    "pick_steal_victim",
-    "Frontier",
     "CountOnlyFrontier",
     "AdaptiveFrontier",
-    "atomic_min",
-    "batch_atomic_min",
-    "batch_atomic_min_count",
     "LocalWorklists",
 ]

@@ -1,12 +1,12 @@
-"""Frontier data structures (paper Section II).
+"""Active-set data structures for LP frontiers (paper Section II).
 
 A frontier represents the active vertex set F.V and the induced active
-edge set F.E.  The paper uses three operating modes, all provided here:
+edge set F.E.  The paper uses three operating modes:
 
-* **bitmap** — a boolean array, O(1) set/test, used by dense pull
-  iterations that need membership tests;
-* **worklist** — an explicit vertex list, used by sparse push
-  iterations;
+* **bitmap** — a boolean array, O(1) set/test, for dense frontiers;
+* **worklist** — an explicit vertex list, for sparse frontiers
+  (:class:`AdaptiveFrontier` switches from this to a bitmap as the
+  frontier grows);
 * **count-only** — Thrifty's accelerated pull mode (Section IV-E): no
   per-vertex record is kept, only |F.V| and |F.E| (enough to pick the
   next direction).  A Pull-Frontier iteration is used to materialize a
@@ -21,105 +21,11 @@ import numpy as np
 
 from ..graph.csr import CSRGraph
 
-__all__ = ["Frontier", "CountOnlyFrontier", "AdaptiveFrontier"]
-
-
-class Frontier:
-    """Bitmap-backed frontier with O(active) worklist extraction."""
-
-    def __init__(self, num_vertices: int) -> None:
-        self._bitmap = np.zeros(num_vertices, dtype=bool)
-        self._num_active = 0
-        self._active_edges = 0
-
-    # -- construction -----------------------------------------------------
-
-    @classmethod
-    def full(cls, graph: CSRGraph) -> "Frontier":
-        """All vertices active — DO-LP's initial frontier."""
-        f = cls(graph.num_vertices)
-        f._bitmap[:] = True
-        f._num_active = graph.num_vertices
-        f._active_edges = graph.num_edges
-        return f
-
-    @classmethod
-    def of_vertices(cls, graph: CSRGraph,
-                    vertices: np.ndarray) -> "Frontier":
-        f = cls(graph.num_vertices)
-        f.set_many(graph, np.asarray(vertices, dtype=np.int64))
-        return f
-
-    # -- mutation ---------------------------------------------------------
-
-    def set(self, graph: CSRGraph, v: int) -> None:
-        """Activate one vertex (idempotent)."""
-        if not self._bitmap[v]:
-            self._bitmap[v] = True
-            self._num_active += 1
-            self._active_edges += graph.degree(v)
-
-    def set_many(self, graph: CSRGraph, vertices: np.ndarray) -> None:
-        """Activate a batch of vertices; duplicates and already-active
-        entries are ignored."""
-        if vertices.size == 0:
-            return
-        vertices = np.unique(vertices)
-        fresh = vertices[~self._bitmap[vertices]]
-        if fresh.size == 0:
-            return
-        self._bitmap[fresh] = True
-        self._num_active += int(fresh.size)
-        self._active_edges += int(graph.degrees[fresh].sum())
-
-    def reset(self) -> None:
-        self._bitmap[:] = False
-        self._num_active = 0
-        self._active_edges = 0
-
-    # -- queries ----------------------------------------------------------
-
-    @property
-    def num_active(self) -> int:
-        return self._num_active
-
-    @property
-    def num_active_edges(self) -> int:
-        return self._active_edges
-
-    def __len__(self) -> int:
-        return self._num_active
-
-    def __contains__(self, v: int) -> bool:
-        return bool(self._bitmap[v])
-
-    def density(self, graph: CSRGraph) -> float:
-        """(|F.V| + |F.E|) / |E| — Algorithm 1, line 7."""
-        if graph.num_edges == 0:
-            return 0.0
-        return (self._num_active + self._active_edges) / graph.num_edges
-
-    def vertices(self) -> np.ndarray:
-        """Materialize the worklist (ascending vertex ids)."""
-        return np.flatnonzero(self._bitmap).astype(np.int64)
-
-    def bitmap(self) -> np.ndarray:
-        """Read-only view of the underlying boolean array."""
-        view = self._bitmap.view()
-        view.flags.writeable = False
-        return view
-
-    def swap(self, other: "Frontier") -> None:
-        """Exchange contents with another frontier (Algorithm 1 line 23)."""
-        self._bitmap, other._bitmap = other._bitmap, self._bitmap
-        self._num_active, other._num_active = \
-            other._num_active, self._num_active
-        self._active_edges, other._active_edges = \
-            other._active_edges, self._active_edges
+__all__ = ["CountOnlyFrontier", "AdaptiveFrontier"]
 
 
 class AdaptiveFrontier:
-    """Frontier with dynamic worklist/bitmap representation switching.
+    """A frontier with dynamic worklist/bitmap representation switching.
 
     Section II: "Frontiers may be implemented as worklists ... or as a
     bitmap ... Graph processing systems dynamically switch between
@@ -130,14 +36,11 @@ class AdaptiveFrontier:
     O(n) scans); above it, a bitmap (O(1) membership, no duplicate
     concerns).  The representation is visible via :attr:`mode` so the
     cost accounting can charge the right structure, and conversions
-    happen at most once per batch of insertions.
+    happen at most once per batch of insertions.  Engine frontiers
+    only grow, so the only switch is worklist→bitmap.
 
-    The graph-aware mutators (:meth:`set_many`, :meth:`full`) also
-    maintain the induced active edge count, giving the frontier the
-    same ``num_active`` / ``num_active_edges`` / ``density`` surface
-    as :class:`Frontier` — this is what the LP engine uses.  The
-    representation-level :meth:`add` / :meth:`remove` don't know the
-    graph and leave the edge count untouched.
+    :meth:`set_many` and :meth:`full` also maintain the induced active
+    edge count behind ``num_active_edges`` / ``density``.
     """
 
     def __init__(self, num_vertices: int,
@@ -178,12 +81,6 @@ class AdaptiveFrontier:
             return int(self._list.size)
         return int(np.count_nonzero(self._bitmap))
 
-    def __contains__(self, v: int) -> bool:
-        if self._mode == "worklist":
-            i = int(np.searchsorted(self._list, v))
-            return i < self._list.size and int(self._list[i]) == v
-        return bool(self._bitmap[v])
-
     @property
     def num_active(self) -> int:
         return len(self)
@@ -205,8 +102,7 @@ class AdaptiveFrontier:
 
         Duplicates and already-active entries are ignored (their edges
         are not double counted); the representation switches if the
-        density crosses the threshold.  Same surface as
-        :meth:`Frontier.set_many`.
+        density crosses the threshold.
         """
         vertices = np.unique(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
@@ -223,62 +119,20 @@ class AdaptiveFrontier:
         self._active_edges += int(graph.degrees[fresh].sum())
         self._maybe_switch()
 
-    def add(self, vertices: np.ndarray) -> None:
-        """Insert a batch; switches representation if density crosses
-        the threshold in either direction."""
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
-        if vertices.size and (vertices[0] < 0
-                              or vertices[-1] >= self._n):
-            raise ValueError("vertex id out of range")
-        if self._mode == "worklist":
-            self._list = np.union1d(self._list, vertices)
-        else:
-            self._bitmap[vertices] = True
-        self._maybe_switch()
-
-    def remove(self, vertices: np.ndarray) -> None:
-        """Deactivate a batch; ids are range-checked exactly like
-        :meth:`add` (a negative id would otherwise index the bitmap
-        from the end and corrupt the worklist after a switch)."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        if vertices.size and (int(vertices.min()) < 0
-                              or int(vertices.max()) >= self._n):
-            raise ValueError("vertex id out of range")
-        if self._mode == "worklist":
-            self._list = np.setdiff1d(self._list, vertices,
-                                      assume_unique=False)
-        else:
-            self._bitmap[vertices] = False
-        self._maybe_switch()
-
     def vertices(self) -> np.ndarray:
         """Sorted active vertex ids (either representation)."""
         if self._mode == "worklist":
             return self._list.copy()
         return np.flatnonzero(self._bitmap).astype(np.int64)
 
-    def clear(self) -> None:
-        self._list = np.empty(0, dtype=np.int64)
-        if self._bitmap is not None:
-            self._bitmap[:] = False
-        self._mode = "worklist"
-        self._active_edges = 0
-
     def _maybe_switch(self) -> None:
-        density = len(self) / max(self._n, 1)
-        if self._mode == "worklist" and density > self._switch:
+        if (self._mode == "worklist"
+                and len(self) / max(self._n, 1) > self._switch):
             bitmap = np.zeros(self._n, dtype=bool)
             bitmap[self._list] = True
             self._bitmap = bitmap
             self._list = np.empty(0, dtype=np.int64)
             self._mode = "bitmap"
-            self._conversions += 1
-        elif self._mode == "bitmap" and density <= self._switch / 2:
-            # Hysteresis: convert back only at half the threshold so a
-            # frontier hovering at the boundary does not thrash.
-            self._list = np.flatnonzero(self._bitmap).astype(np.int64)
-            self._bitmap[:] = False
-            self._mode = "worklist"
             self._conversions += 1
 
 
@@ -300,10 +154,6 @@ class CountOnlyFrontier:
             raise ValueError("counts must be non-negative")
         self._num_active += count
         self._active_edges += edges
-
-    def reset(self) -> None:
-        self._num_active = 0
-        self._active_edges = 0
 
     @property
     def num_active(self) -> int:

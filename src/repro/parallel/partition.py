@@ -40,6 +40,10 @@ class Partitioning:
             raise ValueError("bounds must be non-decreasing from 0")
         if self.num_threads < 1:
             raise ValueError("num_threads must be >= 1")
+        if (bounds.size - 1) % self.num_threads:
+            raise ValueError(
+                f"{bounds.size - 1} partitions do not split evenly "
+                f"over {self.num_threads} threads")
         object.__setattr__(self, "bounds", bounds)
 
     @property
@@ -122,13 +126,27 @@ def edge_balanced_partitions(graph: CSRGraph,
         raise ValueError("num_threads must be >= 1")
     if partitions_per_thread < 1:
         raise ValueError("partitions_per_thread must be >= 1")
-    n = graph.num_vertices
-    p = num_threads * partitions_per_thread
-    targets = (graph.num_edges * np.arange(1, p, dtype=np.float64) / p)
-    cut = np.searchsorted(graph.indptr[1:], targets, side="left") + 1
-    bounds = np.empty(p + 1, dtype=np.int64)
-    bounds[0] = 0
-    bounds[1:-1] = np.minimum(cut, n)
-    bounds[-1] = n
-    np.maximum.accumulate(bounds, out=bounds)
+    bounds = _edge_balanced_cut(graph.indptr, 0, graph.num_vertices,
+                                num_threads * partitions_per_thread)
     return Partitioning(bounds, num_threads)
+
+
+def _edge_balanced_cut(indptr: np.ndarray, lo: int, hi: int,
+                       parts: int) -> np.ndarray:
+    """Prefix-sum cut of vertices ``[lo, hi)`` into ``parts`` ranges.
+
+    Boundary ``k`` is the first vertex whose cumulative edge count
+    (from ``lo``) reaches ``k/parts`` of the slice's edges; ranges may
+    be empty on extreme skew.  Returns ``parts + 1`` bounds.
+    """
+    e0 = int(indptr[lo])
+    targets = e0 + (int(indptr[hi]) - e0) * np.arange(
+        1, parts, dtype=np.float64) / parts
+    cut = lo + 1 + np.searchsorted(indptr[lo + 1:hi], targets,
+                                   side="left")
+    bounds = np.empty(parts + 1, dtype=np.int64)
+    bounds[0] = lo
+    bounds[1:-1] = np.minimum(cut, hi)
+    bounds[-1] = hi
+    np.maximum.accumulate(bounds, out=bounds)
+    return bounds

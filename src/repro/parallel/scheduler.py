@@ -17,7 +17,10 @@ preserves the two properties the algorithms observe:
    as per-thread max-degree reductions and local worklists).
 
 Kernels replay the resulting order sequentially, which is what makes
-in-place (unified-array) label updates reproducible.
+in-place (unified-array) label updates reproducible.  Section IV-E
+drains the push worklists with the same policy, so
+:meth:`~repro.parallel.worklist.LocalWorklists.drain_order` and the
+partition schedule share one replay, :func:`steal_replay`.
 """
 
 from __future__ import annotations
@@ -30,32 +33,56 @@ import numpy as np
 from .machine import MachineSpec
 from .partition import Partitioning
 
-__all__ = ["ScheduleStep", "WorkStealingScheduler", "pick_steal_victim"]
+__all__ = ["ScheduleStep", "WorkStealingScheduler", "steal_replay"]
 
 
-def pick_steal_victim(thief: int, has_work: list[bool],
-                      load: list[float],
-                      node_of=None) -> int | None:
-    """The runtime's victim-selection policy, shared by every stealer.
+def steal_replay(queues: list[list[int]], weights: np.ndarray,
+                 nodes: list[int] | None = None
+                 ) -> list[tuple[int, int, bool, float]]:
+    """Replay the runtime's work-stealing policy on an event clock.
 
-    Picks the most-loaded peer that still has unclaimed work,
-    preferring peers on the thief's NUMA node; ties resolve to the
-    lowest id.  ``node_of`` maps a thread id to its NUMA node; when
-    omitted (structures without topology, e.g. the push worklists) the
-    policy degrades to plain most-loaded-victim.
+    ``queues[i]`` lists the items thread ``i`` owns, in the order it
+    takes them; ``weights[item]`` is an item's duration and ``nodes[i]``
+    thread ``i``'s NUMA node (omitted: one node, as for the push
+    worklists).  The lowest-clock thread claims next (ties by thread
+    id): its own next item, or else the *last* unclaimed item of the
+    most-loaded victim, preferring victims on its own node (ties to
+    the lowest id).  A thread with nothing left to steal idles out.
+
+    Returns the claims ``(thread, item, stolen, start_time)`` in order.
     """
-    thief_node = node_of(thief) if node_of is not None else 0
-    best: int | None = None
-    best_key: tuple[int, float] = (-1, -1.0)
-    for v in range(len(load)):
-        if v == thief or not has_work[v]:
-            continue
-        node = node_of(v) if node_of is not None else 0
-        key = (int(node == thief_node), load[v])
-        if key > best_key:
-            best_key = key
-            best = v
-    return best
+    t = len(queues)
+    home = nodes if nodes is not None else [0] * t
+    weights = np.asarray(weights, dtype=np.float64)
+    w = weights.tolist()
+    heads = [0] * t                    # own work consumed from the front
+    tails = [len(q) for q in queues]   # steals consume from the back
+    load = [float(weights[q].sum()) for q in queues]
+    clocks = [(0.0, i) for i in range(t)]   # sorted, hence a heap
+    claims: list[tuple[int, int, bool, float]] = []
+    total = sum(tails)
+    while len(claims) < total:
+        now, thread = heapq.heappop(clocks)
+        if heads[thread] < tails[thread]:
+            owner, stolen = thread, False
+            item = queues[thread][heads[thread]]
+            heads[thread] += 1
+        else:
+            owner, best, mine = -1, (-1, -1.0), home[thread]
+            for v in range(t):
+                if v != thread and heads[v] < tails[v]:
+                    key = (home[v] == mine, load[v])
+                    if key > best:
+                        owner, best = v, key
+            if owner < 0:
+                continue
+            stolen = True
+            tails[owner] -= 1
+            item = queues[owner][tails[owner]]
+        load[owner] -= w[item]
+        claims.append((thread, item, stolen, now))
+        heapq.heappush(clocks, (now + w[item], thread))
+    return claims
 
 
 @dataclass(frozen=True)
@@ -87,6 +114,9 @@ class WorkStealingScheduler:
                 f"{machine.cores} cores of {machine.name}")
         self.partitioning = partitioning
         self.machine = machine
+        t = partitioning.num_threads
+        self._queues = [list(partitioning.owned_by(i)) for i in range(t)]
+        self._nodes = [machine.numa_node_of(i) for i in range(t)]
 
     def schedule(self, work: np.ndarray | None = None) -> list[ScheduleStep]:
         """Produce the deterministic claim order.
@@ -98,7 +128,6 @@ class WorkStealingScheduler:
         preferring victims on its own NUMA node.
         """
         part = self.partitioning
-        t = part.num_threads
         if work is None:
             work = np.ones(part.num_partitions, dtype=np.float64)
         else:
@@ -107,41 +136,8 @@ class WorkStealingScheduler:
                 raise ValueError("work must have one entry per partition")
             if np.any(work < 0):
                 raise ValueError("work must be non-negative")
-        owned = [list(part.owned_by(i)) for i in range(t)]
-        heads = [0] * t                   # own work consumed from front
-        tails = [len(q) for q in owned]   # steals consume from the back
-        load = [float(work[q].sum()) for q in
-                (np.array(o, dtype=np.int64) for o in owned)]
-        clocks: list[tuple[float, int]] = [(0.0, i) for i in range(t)]
-        heapq.heapify(clocks)
-        steps: list[ScheduleStep] = []
-        total = part.num_partitions
-        while len(steps) < total:
-            now, thread = heapq.heappop(clocks)
-            if heads[thread] < tails[thread]:
-                p = owned[thread][heads[thread]]
-                heads[thread] += 1
-                load[thread] -= float(work[p])
-                stolen = False
-            else:
-                victim = self._pick_victim(thread, heads, tails, load, t)
-                if victim is None:
-                    # No work anywhere for this thread; it idles out.
-                    continue
-                tails[victim] -= 1
-                p = owned[victim][tails[victim]]
-                load[victim] -= float(work[p])
-                stolen = True
-            steps.append(ScheduleStep(thread, p, stolen, now))
-            heapq.heappush(clocks, (now + float(work[p]), thread))
-        return steps
-
-    def _pick_victim(self, thief: int, heads: list[int], tails: list[int],
-                     load: list[float], t: int) -> int | None:
-        """Most-loaded victim with unclaimed work, same NUMA node first."""
-        has_work = [heads[v] < tails[v] for v in range(t)]
-        return pick_steal_victim(thief, has_work, load,
-                                 self.machine.numa_node_of)
+        return [ScheduleStep(*claim) for claim in
+                steal_replay(self._queues, work, self._nodes)]
 
     def partition_order(self, work: np.ndarray | None = None) -> np.ndarray:
         """Partition ids in simulated execution order."""

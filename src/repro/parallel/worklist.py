@@ -15,11 +15,9 @@ same most-loaded-victim policy as the partition scheduler).
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
-from .scheduler import pick_steal_victim
+from .scheduler import steal_replay
 
 __all__ = ["LocalWorklists"]
 
@@ -48,6 +46,9 @@ class LocalWorklists:
         > 0, a fraction of already-marked vertices is enqueued anyway,
         modelling the unsynchronized byte-array race the paper allows.
         """
+        if not (0 <= thread_id < self.num_threads):
+            raise ValueError(f"thread {thread_id} out of range "
+                             f"[0, {self.num_threads})")
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return 0
@@ -62,7 +63,7 @@ class LocalWorklists:
         if take.size == 0:
             return 0
         self._enqueued[take] = 1
-        self._lists[thread_id % self.num_threads].append(take)
+        self._lists[thread_id].append(take)
         return int(take.size)
 
     def total_enqueued(self) -> int:
@@ -87,48 +88,23 @@ class LocalWorklists:
     def drain_order(self) -> np.ndarray:
         """Vertices in the order the work-stealing drain visits them.
 
-        Deterministic replay of the Section IV-E drain: each thread
-        consumes its own batches front-to-back; a thread that runs dry
-        steals the most-loaded victim's *last* batch (the same victim
-        policy as :func:`~repro.parallel.scheduler.pick_steal_victim`,
-        minus the NUMA tier — worklists carry no topology), preserving
-        the victim's own front-to-back locality.  Batch claims are
-        serialized on an event clock (lowest-clock thread claims next,
-        ties by thread id), exactly like the partition scheduler.  May
-        contain duplicates if race injection is enabled — consumers
-        must tolerate reprocessing, as the paper's algorithm does.
+        Deterministic replay of the Section IV-E drain through the
+        partition scheduler's :func:`~repro.parallel.scheduler.steal_replay`
+        (minus the NUMA tier — worklists carry no topology), weighting
+        each batch by its size: each thread consumes its own batches
+        front-to-back; a thread that runs dry steals the most-loaded
+        victim's *last* batch, preserving the victim's own
+        front-to-back locality.  May contain duplicates if race
+        injection is enabled — consumers must tolerate reprocessing,
+        as the paper's algorithm does.
         """
-        t = self.num_threads
-        heads = [0] * t
-        tails = [len(lst) for lst in self._lists]
-        load = [float(sum(int(a.size) for a in lst))
-                for lst in self._lists]
-        total = sum(tails)
-        if total == 0:
+        batches = [b for lst in self._lists for b in lst]
+        if not batches:
             return np.empty(0, dtype=np.int64)
-        clocks: list[tuple[float, int]] = [(0.0, i) for i in range(t)]
-        heapq.heapify(clocks)
-        out: list[np.ndarray] = []
-        while len(out) < total:
-            now, thread = heapq.heappop(clocks)
-            if heads[thread] < tails[thread]:
-                batch = self._lists[thread][heads[thread]]
-                heads[thread] += 1
-                load[thread] -= float(batch.size)
-            else:
-                has_work = [heads[v] < tails[v] for v in range(t)]
-                victim = pick_steal_victim(thread, has_work, load)
-                if victim is None:
-                    continue   # nothing left to steal; thread idles out
-                tails[victim] -= 1
-                batch = self._lists[victim][tails[victim]]
-                load[victim] -= float(batch.size)
-            out.append(batch)
-            heapq.heappush(clocks, (now + float(batch.size), thread))
-        return np.concatenate(out)
-
-    def clear(self) -> None:
-        """Reset for the next iteration (byte array cleared lazily in
-        the real system; eagerly here)."""
-        self._enqueued[:] = 0
-        self._lists = [[] for _ in range(self.num_threads)]
+        queues, first = [], 0
+        for lst in self._lists:
+            queues.append(list(range(first, first + len(lst))))
+            first += len(lst)
+        sizes = np.array([b.size for b in batches], dtype=np.float64)
+        return np.concatenate([batches[item] for _, item, _, _ in
+                               steal_replay(queues, sizes)])

@@ -239,7 +239,7 @@ class TestPushOwnership:
 
     def test_chunk_lands_on_partition_owner(self):
         import numpy as np
-        from repro.parallel import Frontier
+        from repro.parallel import AdaptiveFrontier
         g = self._skewed()
         eng = self._engine(g)
         part = eng.partitioning
@@ -248,7 +248,7 @@ class TestPushOwnership:
         # The scenario must discriminate the policies, or the test is
         # vacuous: the buggy owner (8 % 2 == 0) differs.
         assert owner == 1 and 8 % 2 == 0
-        frontier = Frontier(g.num_vertices)
+        frontier = AdaptiveFrontier(g.num_vertices)
         frontier.set_many(g, np.array([8]))
         eng.push(frontier)
         # Vertex 8's push lowers 9; the batch must sit on thread 1.
@@ -264,8 +264,8 @@ class TestPushOwnership:
         import numpy as np
         from tests.conftest import graph_from_pairs
         from repro.core.kernels import concat_adjacency
-        from repro.parallel import (Frontier, LocalWorklists,
-                                    batch_atomic_min)
+        from repro.core.backends import get_backend
+        from repro.parallel import AdaptiveFrontier, LocalWorklists
         # Hub 0 fills the first partition by itself; every chain
         # vertex lives in partition 1 whatever its id parity, so the
         # two ownership policies scatter the chain pushes onto
@@ -276,7 +276,7 @@ class TestPushOwnership:
         eng = self._engine(g, block_size=1)
         part = eng.partitioning
         active = np.array([13, 14, 18])
-        frontier = Frontier(g.num_vertices)
+        frontier = AdaptiveFrontier(g.num_vertices)
         frontier.set_many(g, active)
 
         def replay(owner_fn):
@@ -288,7 +288,7 @@ class TestPushOwnership:
                 if targets.size == 0:
                     continue
                 values = np.repeat(labels[chunk], deg)
-                changed = batch_atomic_min(
+                changed = get_backend().batch_atomic_min(
                     labels, targets.astype(np.int64), values)
                 if changed.size:
                     wl.push_batch(owner_fn(int(chunk[0])), changed)
@@ -329,9 +329,9 @@ class TestPushChunkStraddle:
         return g, eng
 
     def test_straddling_frontier_charges_both_partitions(self, engine):
-        from repro.parallel import Frontier
+        from repro.parallel import AdaptiveFrontier
         g, eng = engine
-        frontier = Frontier(g.num_vertices)
+        frontier = AdaptiveFrontier(g.num_vertices)
         frontier.set_many(g, np.array([4, 5]))
         eng.push(frontier)
         # One chunk per side: vertex 4 (1 vertex + 2 edges) on
@@ -341,9 +341,9 @@ class TestPushChunkStraddle:
         assert eng._last_work.tolist() == [3.0, 3.0]
 
     def test_straddling_frontier_batches_on_both_owners(self, engine):
-        from repro.parallel import Frontier
+        from repro.parallel import AdaptiveFrontier
         g, eng = engine
-        frontier = Frontier(g.num_vertices)
+        frontier = AdaptiveFrontier(g.num_vertices)
         frontier.set_many(g, np.array([4, 5]))
         eng.push(frontier)
         wl = eng.last_worklists

@@ -4,68 +4,57 @@ import numpy as np
 import pytest
 
 from repro.graph.generators import star_graph
-from repro.parallel import CountOnlyFrontier, Frontier
+from repro.parallel import AdaptiveFrontier, CountOnlyFrontier
 
 
 class TestFrontier:
+    """The frontier contract the engine relies on: activation with
+    active-edge tracking, the full() constructor, density (Algorithm 1,
+    line 7) and sorted vertex ids."""
+
     def test_initially_empty(self, triangle):
-        f = Frontier(triangle.num_vertices)
+        f = AdaptiveFrontier(triangle.num_vertices)
         assert len(f) == 0
         assert f.num_active_edges == 0
         assert f.density(triangle) == 0.0
 
     def test_set_tracks_edges(self, triangle):
-        f = Frontier(triangle.num_vertices)
-        f.set(triangle, 0)
+        f = AdaptiveFrontier(triangle.num_vertices)
+        f.set_many(triangle, np.array([0]))
         assert len(f) == 1
         assert f.num_active_edges == 2
-        assert 0 in f and 1 not in f
+        assert 0 in f.vertices() and 1 not in f.vertices()
 
     def test_set_idempotent(self, triangle):
-        f = Frontier(triangle.num_vertices)
-        f.set(triangle, 0)
-        f.set(triangle, 0)
+        f = AdaptiveFrontier(triangle.num_vertices)
+        f.set_many(triangle, np.array([0]))
+        f.set_many(triangle, np.array([0]))
         assert len(f) == 1
+        assert f.num_active_edges == 2
 
     def test_set_many_with_duplicates(self, triangle):
-        f = Frontier(triangle.num_vertices)
+        f = AdaptiveFrontier(triangle.num_vertices)
         f.set_many(triangle, np.array([0, 1, 1, 0]))
         assert len(f) == 2
         assert f.num_active_edges == 4
 
     def test_full(self, triangle):
-        f = Frontier.full(triangle)
+        f = AdaptiveFrontier.full(triangle)
         assert len(f) == 3
         assert f.num_active_edges == triangle.num_edges
         assert f.density(triangle) > 1.0
 
     def test_density_formula(self):
         g = star_graph(10)   # |E| = 20 directed
-        f = Frontier.of_vertices(g, np.array([0]))
+        f = AdaptiveFrontier(g.num_vertices)
+        f.set_many(g, np.array([0]))
         # (|F.V| + |F.E|)/|E| = (1 + 10)/20
         assert f.density(g) == pytest.approx(11 / 20)
 
     def test_vertices_sorted(self, triangle):
-        f = Frontier.of_vertices(triangle, np.array([2, 0]))
+        f = AdaptiveFrontier(triangle.num_vertices)
+        f.set_many(triangle, np.array([2, 0]))
         assert np.array_equal(f.vertices(), [0, 2])
-
-    def test_reset(self, triangle):
-        f = Frontier.full(triangle)
-        f.reset()
-        assert len(f) == 0
-        assert f.num_active_edges == 0
-
-    def test_swap(self, triangle):
-        a = Frontier.full(triangle)
-        b = Frontier(triangle.num_vertices)
-        a.swap(b)
-        assert len(a) == 0
-        assert len(b) == 3
-
-    def test_bitmap_readonly(self, triangle):
-        f = Frontier.full(triangle)
-        with pytest.raises(ValueError):
-            f.bitmap()[0] = False
 
 
 class TestCountOnlyFrontier:
@@ -86,16 +75,9 @@ class TestCountOnlyFrontier:
         with pytest.raises(ValueError):
             c.add(-1, 0)
 
-    def test_reset(self):
-        c = CountOnlyFrontier()
-        c.add(1, 1)
-        c.reset()
-        assert len(c) == 0
-
 
 class TestAdaptiveFrontier:
     def make(self, n=1000, switch=0.02):
-        from repro.parallel import AdaptiveFrontier
         return AdaptiveFrontier(n, switch_density=switch)
 
     def test_starts_sparse(self):
@@ -104,75 +86,49 @@ class TestAdaptiveFrontier:
         assert len(f) == 0
 
     def test_membership_both_modes(self):
+        g = star_graph(99)                       # 100 vertices
         f = self.make(100, switch=0.1)
-        f.add(np.array([3, 7]))
-        assert 3 in f and 5 not in f
-        f.add(np.arange(50))          # force bitmap
+        f.set_many(g, np.array([3, 7]))
+        assert f.mode == "worklist"
+        assert f.vertices().tolist() == [3, 7]
+        f.set_many(g, np.arange(50))             # force bitmap
         assert f.mode == "bitmap"
-        assert 3 in f and 99 not in f
+        assert 3 in f.vertices() and 99 not in f.vertices()
 
     def test_switches_to_bitmap_when_dense(self):
+        g = star_graph(99)
         f = self.make(100, switch=0.05)
-        f.add(np.arange(10))
+        f.set_many(g, np.arange(10))
         assert f.mode == "bitmap"
         assert f.conversions == 1
 
-    def test_hysteresis_switch_back(self):
-        f = self.make(100, switch=0.1)
-        f.add(np.arange(20))
-        assert f.mode == "bitmap"
-        f.remove(np.arange(8, 20))    # 12/100 > 5%: stays bitmap
-        assert f.mode == "bitmap"
-        f.remove(np.arange(4, 8))     # 4/100 <= 5%: back to worklist
-        assert f.mode == "worklist"
-        assert f.conversions == 2
-        assert f.vertices().tolist() == [0, 1, 2, 3]
-
     def test_vertices_sorted_in_both_modes(self):
+        g = star_graph(49)                       # 50 vertices
         f = self.make(50, switch=0.5)
-        f.add(np.array([9, 2, 5]))
+        f.set_many(g, np.array([9, 2, 5]))
         assert f.vertices().tolist() == [2, 5, 9]
-        f.add(np.arange(30))
+        f.set_many(g, np.arange(30))
         assert f.mode == "bitmap"
         assert np.all(np.diff(f.vertices()) > 0)
 
     def test_duplicates_ignored(self):
+        g = star_graph(99)
         f = self.make(100, switch=0.5)
-        f.add(np.array([1, 1, 1]))
+        f.set_many(g, np.array([1, 1, 1]))
         assert len(f) == 1
+        assert f.num_active_edges == 1
 
     def test_out_of_range_rejected(self):
+        g = star_graph(9)                        # 10 vertices
         f = self.make(10)
         with pytest.raises(ValueError):
-            f.add(np.array([10]))
+            f.set_many(g, np.array([10]))
 
-    def test_remove_rejects_out_of_range_worklist_mode(self):
-        # A negative id would silently index the bitmap from the end
-        # (and poison the sorted worklist after a switch); remove must
-        # range-check exactly like add.
-        f = self.make(10, switch=0.5)
-        f.add(np.array([2, 5]))
-        assert f.mode == "worklist"
-        with pytest.raises(ValueError):
-            f.remove(np.array([-1]))
-        with pytest.raises(ValueError):
-            f.remove(np.array([10]))
-        assert f.vertices().tolist() == [2, 5]   # untouched on error
-
-    def test_remove_rejects_out_of_range_bitmap_mode(self):
-        f = self.make(100, switch=0.05)
-        f.add(np.arange(20))
-        assert f.mode == "bitmap"
-        with pytest.raises(ValueError):
-            f.remove(np.array([-1]))
-        with pytest.raises(ValueError):
-            f.remove(np.array([100]))
-        assert len(f) == 20                      # untouched on error
-
-    def test_remove_accepts_empty(self):
-        f = self.make(10)
-        f.remove(np.empty(0, dtype=np.int64))
+    def test_set_many_accepts_empty(self, triangle):
+        f = self.make(triangle.num_vertices)
+        f.set_many(triangle, np.empty(0, dtype=np.int64))
         assert len(f) == 0
+        assert f.mode == "worklist"
 
 
 class TestAdaptiveFrontierGraphAware:
@@ -180,7 +136,6 @@ class TestAdaptiveFrontierGraphAware:
     density, and the full() constructor."""
 
     def make(self, n, switch=0.02):
-        from repro.parallel import AdaptiveFrontier
         return AdaptiveFrontier(n, switch_density=switch)
 
     def test_set_many_tracks_edges(self, triangle):
@@ -216,7 +171,6 @@ class TestAdaptiveFrontierGraphAware:
             f.set_many(triangle, np.array([-1]))
 
     def test_full_is_bitmap_with_no_conversion(self, triangle):
-        from repro.parallel import AdaptiveFrontier
         f = AdaptiveFrontier.full(triangle)
         assert f.mode == "bitmap"
         assert f.conversions == 0                # construction, not a switch
@@ -230,21 +184,6 @@ class TestAdaptiveFrontierGraphAware:
         f.set_many(g, np.array([0]))
         assert f.density(g) == pytest.approx(11 / 20)
 
-    def test_clear_resets_edges(self, triangle):
-        from repro.parallel import AdaptiveFrontier
-        f = AdaptiveFrontier.full(triangle)
-        f.clear()
-        assert f.num_active_edges == 0
-        assert f.density(triangle) == 0.0
-
-    def test_clear_resets_to_sparse(self):
-        f = self.make(100, switch=0.01)
-        f.add(np.arange(50))
-        f.clear()
-        assert f.mode == "worklist"
-        assert len(f) == 0
-
     def test_switch_density_validation(self):
-        from repro.parallel import AdaptiveFrontier
         with pytest.raises(ValueError):
             AdaptiveFrontier(10, switch_density=0.0)

@@ -9,6 +9,7 @@ import pytest
 import repro.distributed
 import repro.graph
 import repro.graph.io
+import repro.parallel
 from repro import ALGORITHMS, connected_components, num_components
 from repro.baselines import (
     afforest_cc,
@@ -138,6 +139,10 @@ GONE = {
     **{f"graph.io.{name}": (partial(getattr, repro.graph.io, name),
                             AttributeError, name)
        for name in ("load_matrix_market", "load_konect")},
+    **{f"parallel.{name}": (partial(getattr, repro.parallel, name),
+                            AttributeError, name)
+       for name in ("Frontier", "atomic_min", "batch_atomic_min",
+                    "batch_atomic_min_count", "pick_steal_victim")},
     "DistributedLPOptions": (
         partial(getattr, repro.distributed, "DistributedLPOptions"),
         AttributeError, "DistributedLPOptions"),

@@ -67,6 +67,10 @@ class TestPartitioning:
             Partitioning(np.array([0]), 1)
         with pytest.raises(ValueError, match="num_threads"):
             Partitioning(np.array([0, 3]), 0)
+        # 5 partitions over 2 threads: partition 4 would belong to a
+        # thread that does not exist.
+        with pytest.raises(ValueError, match="split evenly"):
+            Partitioning(np.array([0, 2, 4, 6, 8, 10]), 2)
 
     def test_more_partitions_than_vertices(self):
         g = path_graph(5)

@@ -4,11 +4,12 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro import ALGORITHMS, ThriftyOptions, connected_components
+from repro.core.backends import get_backend
 from repro.graph import build_graph, from_pairs
 from repro.options import options_for
 from repro.graph.coo import dedup, symmetrize
 from repro.graph.properties import component_labels_reference
-from repro.parallel import batch_atomic_min, edge_balanced_partitions
+from repro.parallel import edge_balanced_partitions
 from repro.validate import canonicalize, same_partition
 
 
@@ -98,7 +99,7 @@ def test_batch_atomic_min_equals_sequential(n, data):
                                       min_size=k, max_size=k)),
                    dtype=np.int64)
     a = array.copy()
-    changed = batch_atomic_min(a, idx, val)
+    changed = get_backend().batch_atomic_min(a, idx, val)
     b = array.copy()
     seq = set()
     for i, v in zip(idx, val):

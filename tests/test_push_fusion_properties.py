@@ -22,7 +22,7 @@ from repro.graph.generators import (
     road_network_graph,
     with_dust_components,
 )
-from repro.parallel import Frontier
+from repro.parallel import AdaptiveFrontier
 
 GRAPHS = {
     "rmat": lambda: with_dust_components(rmat_graph(9, 8, seed=11), 12,
@@ -100,10 +100,8 @@ def test_fused_push_drain_order_lockstep(graph, overrides, backend):
         return _Engine(graph, opts, "")
 
     fused_eng, ref_eng = engine(True), engine(False)
-    f_front = Frontier.of_vertices(
-        graph, np.arange(graph.num_vertices, dtype=np.int64))
-    r_front = Frontier.of_vertices(
-        graph, np.arange(graph.num_vertices, dtype=np.int64))
+    f_front = AdaptiveFrontier.full(graph)
+    r_front = AdaptiveFrontier.full(graph)
     rounds = 0
     while len(f_front) or len(r_front):
         f_front = fused_eng.push(f_front)

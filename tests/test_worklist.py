@@ -36,14 +36,6 @@ class TestLocalWorklists:
         assert wl.push_batch(0, np.empty(0, np.int64)) == 0
         assert wl.drain_order().size == 0
 
-    def test_clear(self):
-        wl = LocalWorklists(5, 1)
-        wl.push_batch(0, np.array([1]))
-        wl.clear()
-        assert wl.total_enqueued() == 0
-        # After clear, the byte array is reset: re-enqueue allowed.
-        assert wl.push_batch(0, np.array([1])) == 1
-
     def test_race_injection_duplicates(self):
         # With race_rate=0.99 nearly every duplicate gets re-enqueued,
         # modelling the unsynchronized byte-array race.
@@ -59,6 +51,13 @@ class TestLocalWorklists:
     def test_thread_count_validation(self):
         with pytest.raises(ValueError):
             LocalWorklists(5, 0)
+        # A thread id outside [0, num_threads) is an owner error, not
+        # something to wrap onto an existing thread.
+        wl = LocalWorklists(5, 2)
+        for bad in (2, -1):
+            with pytest.raises(ValueError, match="out of range"):
+                wl.push_batch(bad, np.array([1]))
+        assert wl.total_enqueued() == 0
 
 
 class TestDrainOrderStealing:
