@@ -145,12 +145,10 @@ def finish_thrifty_pull(graph: CSRGraph, parent: np.ndarray,
     counters.sequential_accesses += n
     counters.label_writes += n
     total = 0
-    from ..core.kernels import pull_block, zero_cut_scan_lengths
+    from ..core.kernels import pull_block_zero_cut
     while True:
-        skip = labels == 0
-        scanned = int(zero_cut_scan_lengths(graph, labels, 0, n,
-                                            skip).sum())
-        new, changed = pull_block(graph, labels, 0, n)
+        new, changed, lengths = pull_block_zero_cut(graph, labels, 0, n)
+        scanned = int(lengths.sum())
         counters.record_pull_scan(scanned, n)
         total += scanned
         if not changed.any():

@@ -81,7 +81,8 @@ class KernelBackend(Protocol):
     def pull_block_zero_cut(self, graph: Any, labels: np.ndarray,
                             lo: int, hi: int,
                             skip: np.ndarray | None = None
-                            ) -> tuple[np.ndarray, np.ndarray, int]: ...
+                            ) -> tuple[np.ndarray, np.ndarray,
+                                       np.ndarray]: ...
 
     def zero_cut_scan_lengths(self, graph: Any, labels: np.ndarray,
                               lo: int, hi: int,

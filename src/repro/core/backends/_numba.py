@@ -73,20 +73,18 @@ def _fill_pull_block(indptr, indices, labels, lo, hi, new, changed):
 
 @njit(cache=True, nogil=True)
 def _fill_pull_zero_cut(indptr, indices, labels, lo, hi, skip,
-                        new, changed):
+                        new, changed, scanned):
     # The sequential Zero-Convergence scan itself (Algorithm 2 line
     # 31): break at the first zero-labelled neighbour, counting it.
-    total = np.int64(0)
+    # Labels are non-negative, so the minimum up to that zero is the
+    # whole row's; a skipped row still yields its minimum but scans 0.
     for i in range(hi - lo):
         row = lo + i
         own = labels[row]
-        if skip[i]:
-            new[i] = own
-            changed[i] = False
-            continue
         m = own
+        cnt = np.int64(0)
         for p in range(indptr[row], indptr[row + 1]):
-            total += 1
+            cnt += 1
             v = labels[indices[p]]
             if v < m:
                 m = v
@@ -94,7 +92,7 @@ def _fill_pull_zero_cut(indptr, indices, labels, lo, hi, skip,
                 break
         new[i] = m
         changed[i] = m < own
-    return total
+        scanned[i] = 0 if skip[i] else cnt
 
 
 @njit(cache=True, nogil=True)
@@ -212,19 +210,19 @@ def pull_block(graph: CSRGraph, labels: np.ndarray,
 def pull_block_zero_cut(graph: CSRGraph, labels: np.ndarray,
                         lo: int, hi: int,
                         skip: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, int]:
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if hi <= lo:
         empty = np.empty(0, dtype=labels.dtype)
-        return empty, np.empty(0, dtype=bool), 0
+        return empty, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
     if skip is None:
         skip = labels[lo:hi] == 0
     new = np.empty(hi - lo, dtype=labels.dtype)
     changed = np.empty(hi - lo, dtype=bool)
-    total = _fill_pull_zero_cut(graph.indptr, graph.indices, labels,
-                                np.int64(lo), np.int64(hi),
-                                np.ascontiguousarray(skip),
-                                new, changed)
-    return new, changed, int(total)
+    scanned = np.empty(hi - lo, dtype=np.int64)
+    _fill_pull_zero_cut(graph.indptr, graph.indices, labels,
+                        np.int64(lo), np.int64(hi),
+                        np.ascontiguousarray(skip), new, changed, scanned)
+    return new, changed, scanned
 
 
 def zero_cut_scan_lengths(graph: CSRGraph, labels: np.ndarray,

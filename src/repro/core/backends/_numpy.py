@@ -106,43 +106,38 @@ def pull_block(graph: CSRGraph, labels: np.ndarray,
 def pull_block_zero_cut(graph: CSRGraph, labels: np.ndarray,
                         lo: int, hi: int,
                         skip: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pull over rows ``[lo, hi)`` with Zero Convergence *executed*.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pull_block` plus the Zero-Convergence scan lengths.
 
-    Where :func:`pull_block` gathers every row's full adjacency,
-    this kernel gathers only what a sequential Zero-Convergence scan
-    (Algorithm 2 line 31) touches: skipped rows (own label already
-    zero, or ``skip[i]``) contribute nothing, and every other row's
-    scan stops at its first zero-labelled neighbour.  Labels are
-    non-negative, so a prefix ending at a zero has the same minimum as
-    the full row — the result is bit-identical to :func:`pull_block`
-    while the gathered edge set matches the counted one exactly.
+    One gather of the rows' full adjacency yields both: the new labels
+    and changed mask are exactly :func:`pull_block`'s, and the per-row
+    scan lengths exactly :func:`zero_cut_scan_lengths` (skipped rows —
+    own label already zero, or ``skip[i]`` — scan nothing, every other
+    row stops at its first zero-labelled neighbour, Algorithm 2 line
+    31).  Labels are non-negative, so a row prefix ending at a zero
+    has the same minimum as the whole row: the sequential zero-cut
+    loop computes the same minima.
 
-    Returns ``(new_labels_block, changed_mask, edges_scanned)`` with
-    ``edges_scanned == zero_cut_scan_lengths(...).sum()``.  Does not
-    write; callers decide commit policy.
+    Returns ``(new_labels_block, changed_mask, scan_lengths)``.  Does
+    not write; callers decide commit policy.
     """
     if hi <= lo:
         empty = np.empty(0, dtype=labels.dtype)
-        return empty, np.empty(0, dtype=bool), 0
+        return empty, np.empty(0, dtype=bool), np.empty(0, dtype=np.int64)
     own = labels[lo:hi]
     if skip is None:
         skip = own == 0
-    scanned = zero_cut_scan_lengths(graph, labels, lo, hi, skip)
-    total = int(scanned.sum())
-    new = own.copy()
-    if total == 0:
-        return new, np.zeros(hi - lo, dtype=bool), 0
-    row_start = graph.indptr[lo:hi].astype(np.int64)
-    starts = np.zeros(hi - lo, dtype=np.int64)
-    np.cumsum(scanned[:-1], out=starts[1:])
-    ends = starts + scanned
-    idx = np.arange(total, dtype=np.int64)
-    seg = np.searchsorted(starts, idx, side="right") - 1
-    pos = row_start[seg] + (idx - starts[seg])
-    nbr_labels = labels[graph.indices[pos]]
+    s0 = int(graph.indptr[lo])
+    s1 = int(graph.indptr[hi])
+    if s1 == s0:
+        return (own.copy(), np.zeros(hi - lo, dtype=bool),
+                np.zeros(hi - lo, dtype=np.int64))
+    nbr_labels = labels[graph.indices[s0:s1]]
+    starts = (graph.indptr[lo:hi] - s0).astype(np.int64)
+    ends = (graph.indptr[lo + 1:hi + 1] - s0).astype(np.int64)
     new = segment_min(nbr_labels, starts, ends, own)
-    return new, new < own, total
+    return new, new < own, _zero_cut_lengths(nbr_labels, starts, ends,
+                                             skip)
 
 
 def zero_cut_scan_lengths(graph: CSRGraph, labels: np.ndarray,
@@ -159,24 +154,29 @@ def zero_cut_scan_lengths(graph: CSRGraph, labels: np.ndarray,
     """
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
-    s0 = int(graph.indptr[lo])
-    s1 = int(graph.indptr[hi])
-    row_start = (graph.indptr[lo:hi] - s0).astype(np.int64)
-    row_end = (graph.indptr[lo + 1:hi + 1] - s0).astype(np.int64)
-    full = row_end - row_start
-    if s1 == s0:
-        return np.zeros(hi - lo, dtype=np.int64)
-    zero_pos = np.flatnonzero(labels[graph.indices[s0:s1]] == 0)
-    if zero_pos.size:
-        k = np.searchsorted(zero_pos, row_start, side="left")
-        k_clip = np.minimum(k, zero_pos.size - 1)
-        first = zero_pos[k_clip]
-        has_zero = (k < zero_pos.size) & (first < row_end)
-        scanned = np.where(has_zero, first - row_start + 1, full)
-    else:
-        scanned = full
     if skip is None:
         skip = labels[lo:hi] == 0
+    s0 = int(graph.indptr[lo])
+    s1 = int(graph.indptr[hi])
+    if s1 == s0:
+        return np.zeros(hi - lo, dtype=np.int64)
+    starts = (graph.indptr[lo:hi] - s0).astype(np.int64)
+    ends = (graph.indptr[lo + 1:hi + 1] - s0).astype(np.int64)
+    return _zero_cut_lengths(labels[graph.indices[s0:s1]], starts, ends,
+                             skip)
+
+
+def _zero_cut_lengths(nbr_labels: np.ndarray, starts: np.ndarray,
+                      ends: np.ndarray, skip: np.ndarray) -> np.ndarray:
+    """Per-row zero-cut scan lengths over gathered neighbour labels:
+    one ``flatnonzero`` for the zeros, one ``searchsorted`` per row."""
+    scanned = ends - starts
+    zero_pos = np.flatnonzero(nbr_labels == 0)
+    if zero_pos.size:
+        k = np.searchsorted(zero_pos, starts, side="left")
+        first = zero_pos[np.minimum(k, zero_pos.size - 1)]
+        has_zero = (k < zero_pos.size) & (first < ends)
+        scanned = np.where(has_zero, first - starts + 1, scanned)
     return np.where(skip, 0, scanned)
 
 

@@ -47,6 +47,13 @@ Labels, operation counters, iteration traces, worklist drain orders
 and per-iteration makespans are identical between the strategies;
 only wall-clock time differs.
 
+Makespans are computed on read.  Each traversal fills a per-partition
+work vector; :meth:`_Engine.record` keeps only its nonzero entries
+(partition ids and values) and the iteration's
+:attr:`~repro.instrument.trace.IterationRecord.makespan` replays the
+work-stealing schedule over them the first time it is read, so a run
+whose makespans nobody reads never simulates the schedule.
+
 Detailed frontiers are :class:`AdaptiveFrontier` instances: sparse
 frontiers keep an explicit worklist, so a sparse push iterates its
 active set directly instead of scanning an n-bit bitmap; dense ones
@@ -159,6 +166,28 @@ class LPOptions:
                        num_threads=num_threads or machine.cores)
 
 
+class _PendingMakespan:
+    """One iteration's work vector, kept sparse until its makespan is
+    read: the nonzero partition ids (int32) and their work.  Calling
+    it rebuilds the dense vector and replays the schedule through
+    :meth:`WorkStealingScheduler.makespan`, hence through
+    ``schedule``."""
+
+    __slots__ = ("scheduler", "ids", "values")
+
+    def __init__(self, scheduler: WorkStealingScheduler,
+                 work: np.ndarray) -> None:
+        self.scheduler = scheduler
+        self.ids = np.flatnonzero(work).astype(np.int32)
+        self.values = work[self.ids]
+
+    def __call__(self) -> float:
+        work = np.zeros(self.scheduler.partitioning.num_partitions,
+                        dtype=np.float64)
+        work[self.ids] = self.values
+        return self.scheduler.makespan(work)
+
+
 class _Engine:
     """Mutable run state; one instance per call."""
 
@@ -181,8 +210,8 @@ class _Engine:
         self.partition_order = self.scheduler.partition_order(
             self.partitioning.edge_counts(graph).astype(np.float64))
         # Per-iteration work vector (vertices scanned + edges processed
-        # per partition) filled by the traversal methods; record() turns
-        # it into the iteration's simulated makespan.
+        # per partition) filled by the traversal methods; record() keeps
+        # its nonzero entries for the iteration's lazy makespan.
         self._last_work: np.ndarray | None = None
         # Push introspection: the worklists and drain order of the most
         # recent push iteration (simulation observables for tests and
@@ -212,15 +241,10 @@ class _Engine:
         # partition->block metadata every pull reuses.  Cached once:
         # the bounds, groups and schedule are iteration-invariant.
         if opts.unified_labels:
-            bounds = [0]
-            for p in range(self.partitioning.num_partitions):
-                lo_p, hi_p = self.partitioning.vertex_range(p)
-                for lo in range(lo_p, hi_p, opts.block_size):
-                    bounds.append(min(lo + opts.block_size, hi_p))
-            if bounds[-1] != self.n:
-                bounds.append(self.n)
-            self.block_bounds = np.array(sorted(set(bounds)),
-                                         dtype=np.int64)
+            # Each partition cut into block_size pieces from its own
+            # start; empty partitions add no boundary.
+            self.block_bounds = self.kb.chunked_cuts(
+                np.unique(self.partitioning.bounds), opts.block_size)
             # Block-provider seam: a streaming graph (out-of-core
             # BlockedGraph) computes its groups with one sequential
             # setup scan instead of a resident edge array; the result
@@ -354,15 +378,15 @@ class _Engine:
         n = self.n
         pb = self.partitioning.bounds
         if zero:
-            skip = read == 0
-            scanned = self.kb.zero_cut_scan_lengths(g, read, 0, n, skip)
+            new, changed, scanned = self.kb.pull_block_zero_cut(g, read,
+                                                                0, n)
             edges = int(scanned.sum())
             work += self.kb.blockwise_sums(scanned, pb[:-1], pb[1:])
         else:
+            new, changed = self.kb.pull_block(g, read, 0, n)
             edges = int(g.indptr[n] - g.indptr[0])
             work += np.diff(g.indptr[pb])
         work += np.diff(pb)   # one own-label check per vertex
-        new, changed = self.kb.pull_block(g, read, 0, n)
         self.counters.record_pull_scan(edges, n)
         self._commit_rows(0, new, changed, counts, detailed)
 
@@ -462,6 +486,10 @@ class _Engine:
         cost per-block work while a fully-converged run — the common
         case once zero labels have flooded the graph — costs one pass
         over its edges in O(log blocks) fused evaluations.
+
+        With Zero Convergence on, one ``pull_block_zero_cut`` call per
+        window yields both the row minima and the per-row scan lengths
+        from a single gather; the lengths are summed up to the cut.
         """
         g = self.graph
         bs_, be_ = self.block_starts, self.block_ends
@@ -471,7 +499,11 @@ class _Engine:
         while bi < bi1:
             wend = min(bi + window, bi1)
             lo, whi = int(bs_[bi]), int(be_[wend - 1])
-            new, _ = self.kb.pull_block(g, read, lo, whi)
+            if zero:
+                new, _, scanned = self.kb.pull_block_zero_cut(g, read,
+                                                              lo, whi)
+            else:
+                new, _ = self.kb.pull_block(g, read, lo, whi)
             new = self.kb.block_async_min(new, self.groups[lo:whi] - lo)
             changed = new < read[lo:whi]
             if not changed.any():
@@ -484,9 +516,7 @@ class _Engine:
                 fb = int(np.searchsorted(bs_, first, side="right")) - 1
                 flo, cut = int(bs_[fb]), int(be_[fb])
             if zero:
-                scanned = self.kb.zero_cut_scan_lengths(g, read, lo, cut,
-                                                        read[lo:cut] == 0)
-                edges = int(scanned.sum())
+                edges = int(scanned[:cut - lo].sum())
             else:
                 edges = int(g.indptr[cut] - g.indptr[lo])
             self.counters.record_pull_scan(edges, cut - lo)
@@ -754,7 +784,7 @@ class _Engine:
         delta.iterations = 1
         makespan = 0.0
         if self._last_work is not None:
-            makespan = self.scheduler.makespan(self._last_work)
+            makespan = _PendingMakespan(self.scheduler, self._last_work)
             self._last_work = None
         self.trace.add(IterationRecord(
             index=self.trace.num_iterations,

@@ -88,17 +88,17 @@ def pull_block(graph: CSRGraph, labels: np.ndarray,
 def pull_block_zero_cut(graph: CSRGraph, labels: np.ndarray,
                         lo: int, hi: int,
                         skip: np.ndarray | None = None
-                        ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Pull over rows ``[lo, hi)`` with Zero Convergence *executed*.
+                        ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`pull_block` plus the Zero-Convergence scan lengths.
 
-    Gathers only what a sequential Zero-Convergence scan (Algorithm 2
-    line 31) touches: skipped rows (own label already zero, or
-    ``skip[i]``) contribute nothing, every other row's scan stops at
-    its first zero-labelled neighbour.  Bit-identical to
-    :func:`pull_block` while the gathered edge set matches the counted
-    one exactly.  Returns ``(new_labels_block, changed_mask,
-    edges_scanned)`` with ``edges_scanned ==
-    zero_cut_scan_lengths(...).sum()``.
+    Returns ``(new_labels_block, changed_mask, scan_lengths)`` from one
+    gather of the rows' adjacency: the first two equal
+    :func:`pull_block`'s, ``scan_lengths`` equals
+    :func:`zero_cut_scan_lengths` (Algorithm 2 line 31: skipped rows —
+    own label already zero, or ``skip[i]`` — scan nothing, every other
+    row stops at its first zero-labelled neighbour).  Labels are
+    non-negative, so a row prefix ending at a zero has the whole row's
+    minimum: the sequential zero-cut loop yields the same labels.
     """
     return get_backend().pull_block_zero_cut(graph, labels, lo, hi, skip)
 

@@ -80,12 +80,12 @@ def kla_cc(graph: CSRGraph, opts: KLAOptions | None = None,
         changed_total = 0
         for _hop in range(opts.k):
             if opts.zero_convergence:
-                skip = labels == 0
-                scanned = int(kb.zero_cut_scan_lengths(
-                    graph, labels, 0, n, skip).sum())
+                new, changed, lengths = kb.pull_block_zero_cut(
+                    graph, labels, 0, n)
+                scanned = int(lengths.sum())
             else:
+                new, changed = kb.pull_block(graph, labels, 0, n)
                 scanned = graph.num_edges
-            new, changed = kb.pull_block(graph, labels, 0, n)
             counters.record_pull_scan(scanned, n)
             n_changed = int(changed.sum())
             if n_changed == 0:

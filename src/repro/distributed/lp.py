@@ -22,8 +22,8 @@ of remote neighbours' labels; a superstep is:
    cut into edge-balanced blocks, all-zero (converged) blocks are
    skipped without touching their rows, and within a live block the
    Zero-Convergence kernel :func:`repro.core.kernels.pull_block_zero_cut`
-   gathers only the prefix of each row up to its first zero ghost —
-   converged work is *not executed*, not merely discounted;
+   returns each row's scan length up to its first zero ghost, which
+   is what the counters charge;
 2. exchange: for each owned vertex whose label changed and that has
    remote neighbours, send (vertex, label) to each rank that needs it
    (the fabric min-combines and batches when ``combining=True``);
@@ -149,7 +149,7 @@ def _rank_pull(graph: CSRGraph, rk: _Rank, view: np.ndarray,
                 continue
             new, changed, scanned = kb.pull_block_zero_cut(
                 graph, view, lo, hi, skip)
-            counters.record_pull_scan(scanned, nv - n_skip)
+            counters.record_pull_scan(int(scanned.sum()), nv - n_skip)
             if n_skip:
                 counters.record_pull_skip(n_skip)
         else:

@@ -27,6 +27,28 @@ class Direction(str, Enum):
     SYNC = "sync"                     # label-array synchronization pass
 
 
+class _LazyMakespan:
+    """Data descriptor behind :attr:`IterationRecord.makespan`.
+
+    The engine stores a callable that replays the scheduler over the
+    round's work; the replay runs on the first read and its float
+    replaces the callable, so runs that never read makespans never
+    simulate the schedule.  ``repr`` and ``==`` read the attribute,
+    hence see the computed float and never the pending state.
+    """
+
+    def __get__(self, rec, owner=None):
+        if rec is None:
+            return 0.0                  # the dataclass field default
+        value = rec.__dict__["makespan"]
+        if callable(value):
+            value = rec.__dict__["makespan"] = float(value())
+        return value
+
+    def __set__(self, rec, value) -> None:
+        rec.__dict__["makespan"] = value
+
+
 @dataclass
 class IterationRecord:
     """One algorithm round."""
@@ -43,8 +65,10 @@ class IterationRecord:
     # the work-stealing scheduler's makespan over the per-partition
     # work (vertices scanned + edges processed) the round performed.
     # Unitless work units, not milliseconds; 0.0 for algorithms that
-    # do not run on the partitioned schedule.
-    makespan: float = 0.0
+    # do not run on the partitioned schedule.  May be set to a
+    # zero-argument callable instead of a float: it runs on first
+    # read (see :class:`_LazyMakespan`).
+    makespan: float = _LazyMakespan()
     # Representation of the frontier this round produced:
     # "worklist"/"bitmap" (AdaptiveFrontier) or "count-only"
     # (CountOnlyFrontier); "" when the round kept no frontier record.

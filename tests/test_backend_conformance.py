@@ -95,24 +95,27 @@ class TestKernelConformance:
     """The kernels the backend-parametrized property sweeps skip."""
 
     def test_pull_zero_cut_and_scan(self, backend, seed):
+        """``pull_block_zero_cut`` is ``pull_block``'s labels plus the
+        per-row ``zero_cut_scan_lengths``, for any skip mask."""
         g, labels = _case(seed)
         kb = get_backend(backend)
         n = g.num_vertices
+        rng = np.random.default_rng(seed)
         for lo, hi in [(0, n), (0, n // 2), (n // 3, n), (2, 2)]:
-            got = kb.pull_block_zero_cut(g, labels, lo, hi)
-            ref = NUMPY.pull_block_zero_cut(g, labels, lo, hi)
-            assert np.array_equal(got[0], ref[0])
-            assert np.array_equal(got[1], ref[1])
-            assert got[2] == ref[2]
-            skip = labels[lo:hi] % 3 == 0
-            got = kb.pull_block_zero_cut(g, labels, lo, hi, skip)
-            ref = NUMPY.pull_block_zero_cut(g, labels, lo, hi, skip)
-            assert np.array_equal(got[0], ref[0])
-            assert np.array_equal(got[1], ref[1])
-            assert got[2] == ref[2]
-            assert np.array_equal(
-                kb.zero_cut_scan_lengths(g, labels, lo, hi, skip),
-                NUMPY.zero_cut_scan_lengths(g, labels, lo, hi, skip))
+            for skip in (None, labels[lo:hi] % 3 == 0,
+                         rng.random(hi - lo) < 0.5):
+                new, changed, lengths = kb.pull_block_zero_cut(
+                    g, labels, lo, hi, skip)
+                for oracle in (kb, NUMPY):
+                    ref_new, ref_changed = oracle.pull_block(g, labels,
+                                                             lo, hi)
+                    assert new.dtype == ref_new.dtype
+                    assert np.array_equal(new, ref_new)
+                    assert np.array_equal(changed, ref_changed)
+                    ref_len = oracle.zero_cut_scan_lengths(g, labels,
+                                                           lo, hi, skip)
+                    assert lengths.dtype == ref_len.dtype == np.int64
+                    assert np.array_equal(lengths, ref_len)
 
     def test_push_side_kernels(self, backend, seed):
         g, labels = _case(seed)

@@ -384,6 +384,139 @@ class TestMakespan:
         assert all(r.makespan == 0.0 for r in result.trace.iterations)
 
 
+class TestLazyMakespan:
+    """Makespans are replayed on first read, from the sparse work the
+    engine recorded, and equal the eager per-iteration replay."""
+
+    @staticmethod
+    def _count_schedule(monkeypatch):
+        from repro.parallel.scheduler import WorkStealingScheduler
+        calls = []
+        original = WorkStealingScheduler.schedule
+
+        def counted(self, work=None):
+            calls.append(1)
+            return original(self, work)
+
+        monkeypatch.setattr(WorkStealingScheduler, "schedule", counted)
+        return calls
+
+    def test_unread_makespans_never_replay(self, small_skewed,
+                                           monkeypatch):
+        calls = self._count_schedule(monkeypatch)
+        result = thrifty_cc(small_skewed)
+        assert len(calls) == 1          # partition_order only
+        spans = result.trace.makespans()
+        assert len(calls) == 1 + result.num_iterations
+        assert result.trace.makespans() == spans    # memoized
+        assert len(calls) == 1 + result.num_iterations
+
+    def test_equals_eager_replay_per_iteration(self, small_skewed,
+                                               monkeypatch):
+        from repro.core.engine import _Engine
+        works, engines = [], []
+        original = _Engine.record
+
+        def record(self, *args, **kwargs):
+            engines.append(self)
+            works.append(None if self._last_work is None
+                         else self._last_work.copy())
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(_Engine, "record", record)
+        for opts in (LPOptions(), LPOptions(unified_labels=False,
+                                            initial_push=False,
+                                            threshold=0.05)):
+            works.clear()
+            result = label_propagation_cc(small_skewed, opts)
+            scheduler = engines[-1].scheduler
+            assert len(works) == result.num_iterations
+            expected = [0.0 if w is None else scheduler.makespan(w)
+                        for w in works]
+            assert result.trace.makespans() == expected
+
+    def test_cached_result_reports_same_makespans(self, small_skewed):
+        from repro.service import CCService
+        svc = CCService()
+        first = svc.connected_components(small_skewed, method="thrifty")
+        again = svc.connected_components(small_skewed, method="thrifty")
+        assert again.cache_hit
+        fresh = thrifty_cc(small_skewed).trace.makespans()
+        assert again.result.trace.makespans() == fresh
+        assert first.result.trace.makespans() == fresh
+
+    def test_push_iteration_holds_only_nonzero_partitions(self):
+        from repro.core.engine import _PendingMakespan
+        from repro.graph.datasets import DATASETS
+        result = thrifty_cc(DATASETS["GBRd"].build(0.05), threshold=0.3)
+        pushes = [r for r in result.trace.iterations
+                  if r.direction == Direction.PUSH]
+        assert pushes
+        num_partitions = 32 * LPOptions().partitions_per_thread
+        touched = []
+        for rec in pushes:
+            pending = vars(rec)["makespan"]
+            assert isinstance(pending, _PendingMakespan)
+            assert pending.ids.dtype == np.int32
+            assert (pending.ids.nbytes + pending.values.nbytes
+                    == 12 * pending.ids.size)
+            assert np.all(pending.values > 0)
+            touched.append(pending.ids.size)
+            assert rec.makespan > 0
+            assert isinstance(vars(rec)["makespan"], float)
+        # A road push touches a few partitions, not all of them.
+        assert sorted(touched)[len(touched) // 2] < num_partitions // 16
+
+    def test_repr_and_equality_see_the_float(self, path10):
+        import dataclasses
+        a = thrifty_cc(path10).trace.iterations[0]
+        b = thrifty_cc(path10).trace.iterations[0]
+        assert "_PendingMakespan" not in repr(a)
+        assert f"makespan={b.makespan!r}" in repr(a)
+        assert a == b
+        assert dataclasses.replace(a).makespan == a.makespan
+
+
+def _block_bounds_loop(partitioning, block_size, n):
+    """Per-block Python loop the engine used to build block bounds."""
+    bounds = [0]
+    for p in range(partitioning.num_partitions):
+        lo_p, hi_p = partitioning.vertex_range(p)
+        for lo in range(lo_p, hi_p, block_size):
+            bounds.append(min(lo + block_size, hi_p))
+    if bounds[-1] != n:
+        bounds.append(n)
+    return np.array(sorted(set(bounds)), dtype=np.int64)
+
+
+class TestBlockBounds:
+    @pytest.mark.parametrize("block_size", [1, 7, 64])
+    def test_matches_per_block_loop(self, zoo_graph, block_size):
+        from repro.core.engine import _Engine
+        eng = _Engine(zoo_graph, LPOptions(block_size=block_size), "")
+        part = eng.partitioning
+        expected = _block_bounds_loop(part, block_size,
+                                      zoo_graph.num_vertices)
+        assert eng.block_bounds.dtype == np.int64
+        assert np.array_equal(eng.block_bounds, expected)
+
+    def test_zoo_has_empty_partitions(self):
+        from repro.core.engine import _Engine
+        from tests.conftest import graph_zoo
+        empty = [name for name, g in graph_zoo()
+                 if np.any(np.diff(_Engine(g, LPOptions(), "")
+                                   .partitioning.bounds) == 0)]
+        assert len(empty) >= 5
+
+    def test_empty_graph(self):
+        from repro.core.engine import _Engine
+        g = CSRGraph(np.array([0]), np.empty(0, np.int64))
+        eng = _Engine(g, LPOptions(), "")
+        assert eng.block_bounds.tolist() == [0]
+        assert np.array_equal(
+            eng.block_bounds, _block_bounds_loop(eng.partitioning, 64, 0))
+
+
 class TestPullFusionIdentity:
     """fuse_pull_blocks only changes wall-clock: labels, counters and
     traces stay bit-identical to the per-block reference strategy."""

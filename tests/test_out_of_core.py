@@ -108,6 +108,24 @@ class TestStreamedEngine:
                               + result.extras["io"]["blocks_reread"])
         assert fetches[False] >= 2 * fetches[True]
 
+    def test_fetch_accounting_pinned(self, graph, tmp_path):
+        """Regression pin for one streamed Thrifty run: each pull
+        window gathers its edges once, and the fetches, rereads, bytes
+        and modeled disk time are those of the earlier two-gather
+        window (whose second gather only ever hit the cache)."""
+        path = tmp_path / "g.rbcsr"
+        write_blocked(graph, path, edges_per_block=512)
+        bg = BlockedGraph.open(path, resident_bytes=tight_budget(graph))
+        try:
+            io = thrifty_cc(bg).extras["io"]
+        finally:
+            bg.close()
+        assert io["blocks_read"] == 188
+        assert io["blocks_reread"] == 166
+        assert io["bytes_read"] == 372264
+        assert io["modeled_ms"] == 49.400073142857146
+        assert io["block_hits"] < 331     # the two-gather window's hits
+
 
 class TestPlannerFit:
     def test_edge_array_bytes(self, graph):
