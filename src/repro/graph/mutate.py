@@ -11,18 +11,32 @@ incremental CC tier records as delta lineage: replaying exactly those
 edges on the predecessor's labels reproduces the successor's
 components.
 
-Cost shape: one merge-sort-style rebuild over ``O(m + b log b)`` for a
-batch of ``b`` undirected pairs — no per-edge Python work.
+Cost shape: adjacency lists are sorted (the CSR invariant), so each of
+a batch's ``b`` undirected pairs has one sorted slot per direction,
+found by a vectorized bisection inside its row — ``O(b log d_max)``.
+The successor's arrays are then one ``np.insert`` / ``np.delete`` copy
+of ``indices`` plus an ``indptr`` shift: ``O(m)`` memory traffic, no
+edge-key materialization and no sort over ``m``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .coo import EdgeList, _edge_keys
 from .csr import CSRGraph
 
 __all__ = ["canonical_edge_batch", "insert_edges", "remove_edges"]
+
+
+def _endpoints(ids) -> np.ndarray:
+    """One side of an edge batch as int64, rejecting non-integer ids."""
+    arr = np.asarray(ids).ravel()
+    # An empty batch passes whatever its dtype: ``np.asarray([])`` is
+    # float64.
+    if arr.size and not np.issubdtype(arr.dtype, np.integer):
+        raise TypeError(
+            f"edge endpoints must be integers, got dtype {arr.dtype}")
+    return arr.astype(np.int64, copy=False)
 
 
 def canonical_edge_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
@@ -31,13 +45,16 @@ def canonical_edge_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
     Drops self-loops and duplicate pairs (in either orientation).
     Returns int64 arrays with ``src < dst``, sorted lexicographically —
     a canonical form, so equal batches compare equal element-wise.
+    Non-integer endpoints raise ``TypeError`` and negative ones
+    ``ValueError``: neither is ever truncated or wrapped into range.
     """
-    src = np.asarray(src, dtype=np.int64).ravel()
-    dst = np.asarray(dst, dtype=np.int64).ravel()
+    src, dst = _endpoints(src), _endpoints(dst)
     if src.shape != dst.shape:
         raise ValueError("edge batch src/dst lengths differ")
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
+    if lo.size and int(lo.min()) < 0:
+        raise ValueError("negative vertex id in edge batch")
     keep = lo != hi
     lo, hi = lo[keep], hi[keep]
     if lo.size == 0:
@@ -47,11 +64,44 @@ def canonical_edge_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
     return keys // span, keys % span
 
 
-def _edge_key_set(graph: CSRGraph) -> np.ndarray:
-    """Sorted directed-edge keys of the graph (for membership tests)."""
-    src = graph.edge_sources()
-    return _edge_keys(src, graph.indices.astype(np.int64),
-                      graph.num_vertices)
+def _check_range(graph: CSRGraph, hi: np.ndarray) -> None:
+    n = graph.num_vertices
+    if hi.size and int(hi.max()) >= n:
+        raise ValueError(f"edge endpoint out of range for num_vertices={n}")
+
+
+def _find_slots(graph: CSRGraph, src: np.ndarray, dst: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted slot of each directed pair ``(src[i], dst[i])`` in ``indices``.
+
+    Returns ``(slots, found)``: ``slots[i]`` is the first position in
+    row ``src[i]`` whose neighbour is ``>= dst[i]`` (where ``dst[i]``
+    sits or would be inserted), and ``found[i]`` says whether it is
+    already there.  One lock-step bisection over every pair's row
+    range: ``ceil(log2(d_max + 1))`` vectorized steps.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    lo, end = indptr[src], indptr[src + 1]
+    hi = end
+    active = lo < hi
+    while active.any():
+        mid = (lo + hi) >> 1
+        right = active & (indices[np.where(active, mid, 0)] < dst)
+        lo = np.where(right, mid + 1, lo)
+        hi = np.where(active & ~right, mid, hi)
+        active = lo < hi
+    found = lo < end
+    found[found] = indices[lo[found]] == dst[found]
+    return lo, found
+
+
+def _shifted_indptr(graph: CSRGraph, rows: np.ndarray,
+                    sign: int) -> np.ndarray:
+    """``indptr`` after adding (``sign=1``) or dropping one slot per row id."""
+    shift = np.zeros(graph.num_vertices + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=graph.num_vertices),
+              out=shift[1:])
+    return graph.indptr + sign * shift
 
 
 def insert_edges(graph: CSRGraph, src, dst
@@ -65,58 +115,37 @@ def insert_edges(graph: CSRGraph, src, dst
     nothing is new, the *same* graph object is returned with empty
     batch arrays.
     """
-    n = graph.num_vertices
     lo, hi = canonical_edge_batch(src, dst)
-    if lo.size and (int(lo.min()) < 0 or int(hi.max()) >= n):
-        raise ValueError("edge endpoint out of range for "
-                         f"num_vertices={n}")
-    if lo.size:
-        # Filter pairs already present (adjacency lists are sorted, so
-        # one membership probe over the directed keys suffices).
-        existing = _edge_keys(graph.edge_sources(),
-                              graph.indices.astype(np.int64), n)
-        probe = _edge_keys(lo, hi, n)
-        pos = np.searchsorted(existing, probe)
-        pos = np.minimum(pos, existing.size - 1) if existing.size \
-            else np.zeros_like(pos)
-        present = existing.size > 0
-        if present:
-            found = existing[pos] == probe
-            lo, hi = lo[~found], hi[~found]
+    _check_range(graph, hi)
+    _, found = _find_slots(graph, lo, hi)
+    lo, hi = lo[~found], hi[~found]
     if lo.size == 0:
         return graph, lo, hi
     add_src = np.concatenate((lo, hi))
     add_dst = np.concatenate((hi, lo))
-    merged = EdgeList(
-        np.concatenate((graph.edge_sources(), add_src)),
-        np.concatenate((graph.indices.astype(np.int64), add_dst)), n)
-    return CSRGraph.from_edge_list(merged), lo, hi
+    # Half-edges sharing a slot (same row, adjacent new neighbours)
+    # must land in ascending order: np.insert keeps ties in the order
+    # given, so give them sorted by (src, dst).
+    order = np.lexsort((add_dst, add_src))
+    add_src, add_dst = add_src[order], add_dst[order]
+    slots, _ = _find_slots(graph, add_src, add_dst)
+    indices = np.insert(graph.indices, slots, add_dst)
+    return CSRGraph(_shifted_indptr(graph, add_src, 1), indices), lo, hi
 
 
 def remove_edges(graph: CSRGraph, src, dst) -> CSRGraph:
     """Remove an undirected edge batch; returns the successor graph.
 
-    Edges not present are ignored.  Removal can split components, so
+    Edges not present are ignored, and a batch that removes nothing
+    returns the same graph object.  Removal can split components, so
     the incremental tier records no delta lineage for it — successors
     built here are served by full recompute (the planner's fallback).
     """
-    n = graph.num_vertices
     lo, hi = canonical_edge_batch(src, dst)
-    if lo.size == 0:
+    _check_range(graph, hi)
+    rows = np.concatenate((lo, hi))
+    slots, found = _find_slots(graph, rows, np.concatenate((hi, lo)))
+    if not found.any():
         return graph
-    if int(lo.min()) < 0 or int(hi.max()) >= n:
-        raise ValueError(f"edge endpoint out of range for num_vertices={n}")
-    drop = np.concatenate((_edge_keys(lo, hi, n), _edge_keys(hi, lo, n)))
-    drop.sort()
-    keys = _edge_key_set(graph)
-    pos = np.searchsorted(drop, keys)
-    pos = np.minimum(pos, drop.size - 1)
-    keep = drop[pos] != keys
-    if bool(keep.all()):
-        return graph
-    kept = EdgeList(graph.edge_sources()[keep],
-                    graph.indices.astype(np.int64)[keep], n)
-    counts = np.bincount(kept.src, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return CSRGraph(indptr, kept.dst)
+    indices = np.delete(graph.indices, slots[found])
+    return CSRGraph(_shifted_indptr(graph, rows[found], -1), indices)

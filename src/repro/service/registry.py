@@ -93,19 +93,20 @@ def _freeze(graph: CSRGraph) -> None:
             pass
 
 
-def _as_edge_batch(pairs) -> tuple[np.ndarray, np.ndarray]:
+def _as_edge_batch(pairs) -> tuple:
     """Normalize ``(src, dst)`` arrays or an ``(k, 2)`` array of pairs."""
     if isinstance(pairs, tuple) and len(pairs) == 2:
         src, dst = pairs
     else:
-        arr = np.asarray(pairs, dtype=np.int64)
+        arr = np.asarray(pairs)
         if arr.ndim != 2 or arr.shape[1] != 2:
             raise ValueError(
                 "edge batch must be a (src, dst) pair of arrays or an "
                 "(k, 2) array of vertex pairs")
         src, dst = arr[:, 0], arr[:, 1]
-    return (np.asarray(src, dtype=np.int64).ravel(),
-            np.asarray(dst, dtype=np.int64).ravel())
+    # Dtype and range checks live in canonical_edge_batch: casting
+    # here would truncate float ids before they are seen.
+    return src, dst
 
 
 @dataclass(frozen=True)

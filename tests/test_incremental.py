@@ -13,10 +13,12 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import graph_from_pairs, graph_zoo
 from repro.api import connected_components
-from repro.graph import CSRGraph, build_graph, from_pairs
+from repro.graph import CSRGraph, EdgeList, build_graph, from_pairs
+from repro.graph.datasets import DATASETS
 from repro.graph.generators import star_graph
 from repro.graph.mutate import (canonical_edge_batch, insert_edges,
                                 remove_edges)
@@ -90,6 +92,220 @@ class TestEdgeBatches:
         g = remove_edges(triangle, [1], [0])
         src, dst = undirected_pairs(g)
         assert list(zip(src.tolist(), dst.tolist())) == [(0, 2), (1, 2)]
+
+
+# ---------------------------------------------------------------------------
+# Write path against an oracle: the merge-and-sort rebuild it replaced.
+# ---------------------------------------------------------------------------
+
+def oracle_canonical_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique (lo, hi) pairs of a non-negative integer batch."""
+    lo = np.minimum(np.asarray(src, np.int64), np.asarray(dst, np.int64))
+    hi = np.maximum(np.asarray(src, np.int64), np.asarray(dst, np.int64))
+    keep = lo != hi
+    pairs = np.unique(np.stack((lo[keep], hi[keep]), axis=1), axis=0)
+    return pairs[:, 0].copy(), pairs[:, 1].copy()
+
+
+def oracle_insert_edges(graph: CSRGraph, src, dst):
+    """Insert by re-sorting every directed edge: O(m log m) per batch."""
+    n = graph.num_vertices
+    lo, hi = oracle_canonical_batch(src, dst)
+    edges = graph.to_edge_list()
+    span = max(n, 1)
+    new = ~np.isin(lo * span + hi, edges.src * span + edges.dst)
+    lo, hi = lo[new], hi[new]
+    if lo.size == 0:
+        return graph, lo, hi
+    merged = EdgeList(np.concatenate((edges.src, lo, hi)),
+                      np.concatenate((edges.dst, hi, lo)), n)
+    return CSRGraph.from_edge_list(merged), lo, hi
+
+
+def oracle_remove_edges(graph: CSRGraph, src, dst) -> CSRGraph:
+    """Remove by filtering every directed edge and rebuilding."""
+    n = graph.num_vertices
+    lo, hi = oracle_canonical_batch(src, dst)
+    edges = graph.to_edge_list()
+    span = max(n, 1)
+    drop = np.isin(edges.src * span + edges.dst,
+                   np.concatenate((lo * span + hi, hi * span + lo)))
+    if not drop.any():
+        return graph
+    return CSRGraph.from_edge_list(
+        EdgeList(edges.src[~drop], edges.dst[~drop], n))
+
+
+def assert_same_csr(got: CSRGraph, want: CSRGraph) -> None:
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices)):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def assert_same_lineage(got, want) -> None:
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.int64
+        np.testing.assert_array_equal(a, b)
+
+
+@st.composite
+def graph_and_batch(draw):
+    """A small simple graph (isolated vertices and empty rows allowed,
+    ``n - 1`` often among them) plus a batch mixing absent pairs,
+    present pairs, self-loops and duplicates in both orientations."""
+    n = draw(st.integers(1, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    graph = graph_from_pairs(pairs, n)
+    present = list(zip(*(a.tolist() for a in undirected_pairs(graph))))
+    batch = draw(st.lists(st.tuples(vertex, vertex), max_size=16))
+    if present:
+        batch += draw(st.lists(st.sampled_from(present), max_size=8))
+    if batch:
+        batch += [(v, u) for u, v in
+                  draw(st.lists(st.sampled_from(batch), max_size=8))]
+    src = np.array([u for u, _ in batch], dtype=np.int64)
+    dst = np.array([v for _, v in batch], dtype=np.int64)
+    return graph, src, dst
+
+
+class TestWritesMatchOracle:
+    @given(graph_and_batch())
+    @settings(max_examples=150, deadline=None)
+    def test_insert_matches_oracle(self, case):
+        graph, src, dst = case
+        got, lo, hi = insert_edges(graph, src, dst)
+        want, wlo, whi = oracle_insert_edges(graph, src, dst)
+        assert (got is graph) == (want is graph)
+        assert_same_csr(got, want)
+        assert_same_lineage((lo, hi), (wlo, whi))
+
+    @given(graph_and_batch())
+    @settings(max_examples=150, deadline=None)
+    def test_remove_matches_oracle(self, case):
+        graph, src, dst = case
+        got = remove_edges(graph, src, dst)
+        want = oracle_remove_edges(graph, src, dst)
+        assert (got is graph) == (want is graph)
+        assert_same_csr(got, want)
+
+    @given(graph_and_batch())
+    @settings(max_examples=60, deadline=None)
+    def test_all_noop_batches_return_same_object(self, case):
+        graph, src, dst = case
+        present = np.zeros(src.size, dtype=bool)
+        for i, (u, v) in enumerate(zip(src.tolist(), dst.tolist())):
+            present[i] = u == v or graph.has_edge(u, v)
+        new, lo, hi = insert_edges(graph, src[present], dst[present])
+        assert new is graph and lo.size == 0 and hi.size == 0
+        assert remove_edges(graph, src[~present], dst[~present]) is graph
+
+    @pytest.mark.parametrize("name", ["Pkc", "WWiki", "LJLnks", "LJGrp",
+                                      "Twtr10", "GBRd"])
+    def test_chained_batches_on_serving_surrogates(self, name):
+        graph = want = DATASETS[name].build(0.05)
+        n = graph.num_vertices
+        rng = np.random.default_rng(zoo_seed(name))
+        for step in range(12):
+            src, dst = rng.integers(0, n, 64), rng.integers(0, n, 64)
+            if step % 4 == 3:  # re-send present edges, both orientations
+                have_src, have_dst = undirected_pairs(graph)
+                pick = rng.integers(0, have_src.size, 16)
+                src[:16], dst[:16] = have_dst[pick], have_src[pick]
+            graph, lo, hi = insert_edges(graph, src, dst)
+            want, wlo, whi = oracle_insert_edges(want, src, dst)
+            assert_same_csr(graph, want)
+            assert_same_lineage((lo, hi), (wlo, whi))
+            if step % 5 == 4:
+                graph = remove_edges(graph, src[::2], dst[::2])
+                want = oracle_remove_edges(want, src[::2], dst[::2])
+                assert_same_csr(graph, want)
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("a graph write rebuilt the whole edge list")
+
+
+class TestWritesAreSortFree:
+    def test_no_whole_graph_rebuild(self, monkeypatch):
+        graph = dict(graph_zoo())["rmat"]
+        svc = CCService()
+        parent = svc.register(graph, name="g")
+        monkeypatch.setattr(CSRGraph, "from_edge_list", _boom)
+        monkeypatch.setattr(CSRGraph, "edge_sources", _boom)
+        n = graph.num_vertices
+        src, dst = _batch(n, 32, seed=31)
+        grown, lo, hi = insert_edges(graph, src, dst)
+        assert lo.size > 0
+        assert remove_edges(grown, lo, hi).num_edges == graph.num_edges
+        child = svc.mutate("g", insert=(src, dst))
+        assert child is not parent
+        assert svc.mutate("g", remove=(lo, hi)).graph.num_edges \
+            == graph.num_edges
+
+
+class TestEdgeBatchValidation:
+    @pytest.fixture
+    def served(self, mutating_graph):
+        svc = CCService()
+        parent = svc.register(mutating_graph, name="g")
+        return svc, parent
+
+    @staticmethod
+    def assert_unchanged(svc, parent):
+        assert svc.registry.get("g") is parent
+        assert svc.registry.get(parent.fingerprint) is parent
+        assert svc.registry.fingerprint_of(parent.graph) \
+            == parent.fingerprint
+
+    @pytest.mark.parametrize("src,dst", [([-2], [-1]), ([0, -1], [1, 2]),
+                                         ([3], [-5])])
+    def test_negative_ids_rejected(self, served, src, dst):
+        svc, parent = served
+        with pytest.raises(ValueError, match="negative"):
+            canonical_edge_batch(src, dst)
+        with pytest.raises(ValueError, match="negative"):
+            insert_edges(parent.graph, src, dst)
+        with pytest.raises(ValueError, match="negative"):
+            remove_edges(parent.graph, src, dst)
+        for kind in ("insert", "remove"):
+            with pytest.raises(ValueError, match="negative"):
+                svc.mutate("g", **{kind: (src, dst)})
+            self.assert_unchanged(svc, parent)
+
+    @pytest.mark.parametrize("batch", [
+        ([0.7], [2.2]), ([0.0, 1.0], [2, 3]),
+        np.array([[0.7, 2.2]]), ([True], [False])])
+    def test_non_integer_ids_rejected(self, served, batch):
+        svc, parent = served
+        src, dst = (batch[:, 0], batch[:, 1]) \
+            if isinstance(batch, np.ndarray) else batch
+        with pytest.raises(TypeError, match="integers"):
+            insert_edges(parent.graph, src, dst)
+        with pytest.raises(TypeError, match="integers"):
+            remove_edges(parent.graph, src, dst)
+        for kind in ("insert", "remove"):
+            with pytest.raises(TypeError, match="integers"):
+                svc.mutate("g", **{kind: batch})
+            self.assert_unchanged(svc, parent)
+
+    def test_empty_batches_are_noops(self, served):
+        svc, parent = served
+        graph = parent.graph
+        for empty in ([], np.array([]), np.empty(0, np.int32)):
+            new, lo, hi = insert_edges(graph, empty, empty)
+            assert new is graph
+            assert lo.dtype == hi.dtype == np.int64 and lo.size == 0
+            assert remove_edges(graph, empty, empty) is graph
+            assert svc.mutate("g", insert=(empty, empty)) is parent
+            assert svc.mutate("g", remove=(empty, empty)) is parent
+
+    def test_unsigned_and_narrow_ints_accepted(self):
+        new, lo, hi = insert_edges(
+            graph_from_pairs([(0, 1), (1, 2)], 4),
+            np.array([3], np.uint8), np.array([0], np.int16))
+        assert lo.tolist() == [0] and hi.tolist() == [3]
+        assert new.has_edge(3, 0)
 
 
 class TestDecodeParent:
