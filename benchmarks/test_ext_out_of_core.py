@@ -24,16 +24,17 @@ from repro.parallel.machine import MACHINES
 from repro.service import edge_array_bytes, plan
 from repro.service.registry import probe_graph
 from repro.storage import BlockedGraph, write_blocked
+from tests.pull_oracle import per_block_pulls
 
 RMAT_SCALE = 13 if SCALE >= 0.75 else 11
 EDGES_PER_BLOCK = 1024
 BUDGET_FRACTION = 0.2
 
 
-def _streamed(graph, path, budget, **overrides):
+def _streamed(graph, path, budget):
     bg = BlockedGraph.open(path, resident_bytes=budget)
     try:
-        result = thrifty_cc(bg, **overrides)
+        result = thrifty_cc(bg)
     finally:
         bg.close()
     return result
@@ -47,7 +48,8 @@ def _generate(tmpdir):
 
     resident = thrifty_cc(graph)
     fused = _streamed(graph, path, budget)
-    unfused = _streamed(graph, path, budget, fuse_pull_blocks=False)
+    with per_block_pulls():
+        unfused = _streamed(graph, path, budget)
 
     assert np.array_equal(fused.labels, resident.labels), \
         "streamed run must be bit-identical to the resident run"

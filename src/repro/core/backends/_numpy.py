@@ -321,9 +321,10 @@ def concat_adjacency(graph: CSRGraph, rows: np.ndarray
                 counts.astype(np.int64))
     offsets = np.zeros(rows.size, dtype=np.int64)
     np.cumsum(counts[:-1], out=offsets[1:])
-    idx = np.arange(total, dtype=np.int64)
-    seg = np.searchsorted(offsets, idx, side="right") - 1
-    pos = graph.indptr[rows][seg] + (idx - offsets[seg])
+    # Edge k of row i sits at indptr[rows[i]] + (k - offsets[i]): one
+    # repeat of the per-row shift, no per-edge row search.
+    pos = (np.repeat(graph.indptr[rows] - offsets, counts)
+           + np.arange(total, dtype=np.int64))
     return graph.indices[pos], counts.astype(np.int64)
 
 

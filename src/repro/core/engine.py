@@ -18,15 +18,23 @@ iteration exactly as the paper's in-place C loops do (at block rather
 than single-vertex granularity).  Without unified labels the pull is
 double-buffered and block order is irrelevant.
 
-The unified pull has two bit-identical execution strategies:
-
-* ``fuse_pull_blocks=True`` (default) — converged-block-aware: blocks
-  whose labels are all zero are skipped in O(1) (Zero Convergence
-  lifted to block granularity; a zero block can never change again)
-  and runs of consecutive still-active blocks are evaluated with
-  speculatively fused kernel calls (:meth:`_Engine._pull_run`).
-* ``fuse_pull_blocks=False`` — the reference strategy: one Python
-  iteration per block in schedule order.
+The in-place pull is a triangular min-system.  Let L be the labels at
+pull start and ``vr(v)`` the visit rank of v's block (partition visit
+order, then block index).  The sweep leaves every vertex i at X[i],
+the minimum over i's intra-block group of min(L[k], X[j] for the
+neighbours j of k with vr(j) < vr(k), L[j] for the other
+neighbours).  Every dependency points strictly backwards in ``vr``,
+so the system has exactly one solution, and it is what the per-block
+sweep computes.  On a resident graph :meth:`_Engine._pull_fixpoint`
+solves it directly: one gather over the non-zero rows from L, then
+rounds in which only the vertices that changed push their new value
+forward in ``vr``; values only decrease, so the rounds end at the
+unique fixpoint.  Counters, the frontier and the per-partition work
+follow from X in bulk.  A streamed (out-of-core) graph keeps the
+windowed speculative sweep of :meth:`_Engine._pull_blocks_fused`,
+whose block-at-a-time access order is what its fetch accounting
+models.  Neither gathers converged (zero) rows: the fixpoint
+evaluates non-zero rows only and the sweep skips all-zero blocks.
 
 The push mirrors that structure.  The active worklist is split at
 partition boundaries first and only then into ``block_size`` chunks,
@@ -92,11 +100,10 @@ class LPOptions:
     """Configuration of the label-propagation engine.
 
     The four booleans are the paper's four optimizations; defaults
-    correspond to full Thrifty.  ``fuse_pull_blocks`` selects the
-    converged-block-aware pull strategy and ``fuse_push`` the
-    windowed fused push strategy (results are bit-identical either
-    way; False replays the reference one-Python-iteration-per-
-    block/chunk visit, kept for model validation and benchmarking).
+    correspond to full Thrifty.  ``fuse_push`` selects the windowed
+    fused push strategy (results are bit-identical either way; False
+    replays the reference one-Python-iteration-per-chunk visit, kept
+    for model validation and benchmarking).
     ``frontier_switch_density`` is the worklist→bitmap threshold of
     the engine's adaptive frontiers.  ``backend`` selects the kernel
     backend the run dispatches its hot kernels through (``None`` =
@@ -129,7 +136,6 @@ class LPOptions:
     track_convergence: bool = True
     race_rate: float = 0.0
     max_iterations: int = 1_000_000
-    fuse_pull_blocks: bool = True
     fuse_push: bool = True
     frontier_switch_density: float = 0.02
     algorithm_name: str = "thrifty"
@@ -235,6 +241,8 @@ class _Engine:
             self.counters.sequential_accesses += self.n
             self.counters.label_writes += self.n
         self.old_labels = None if opts.unified_labels else self.labels.copy()
+        # Set by _setup_fixpoint on resident unified-labels runs.
+        self.group_members: CSRGraph | None = None
         # Unified labels: precompute each block's internal components
         # for block-asynchronous in-iteration propagation (DESIGN.md
         # Section 5 / kernels.intra_block_groups), plus the block and
@@ -269,9 +277,34 @@ class _Engine:
                                                  pb[:-1], side="left")
             self.part_block_hi = np.searchsorted(self.block_starts,
                                                  pb[1:], side="left")
+            if groups_provider is None:
+                self._setup_fixpoint()
         else:
             self.block_bounds = None
             self.groups = None
+
+    def _setup_fixpoint(self) -> None:
+        """Per-run metadata of the resident pull's fixpoint solve.
+
+        ``visit_rank[v]`` orders v's block in the pull's visit order:
+        its partition's position in the schedule, then its index.
+        ``group_members`` is a CSR index from each intra-block group's
+        representative (its minimum vertex) to the group's members,
+        so ``concat_adjacency`` expands groups to their vertices.
+        """
+        order = self.partition_order
+        part_pos = np.empty_like(order)
+        part_pos[order] = np.arange(order.size)
+        nblocks = self.block_starts.size
+        block_rank = (np.repeat(part_pos, self.part_block_hi
+                                - self.part_block_lo) * nblocks
+                      + np.arange(nblocks))
+        self.visit_rank = np.repeat(block_rank,
+                                    self.block_ends - self.block_starts)
+        members = np.argsort(self.groups, kind="stable")
+        ptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.groups, minlength=self.n), out=ptr[1:])
+        self.group_members = CSRGraph(ptr, members)
 
     # -- label access shims ----------------------------------------------
 
@@ -343,11 +376,10 @@ class _Engine:
         # faster and bit-identical.
         if not opts.unified_labels:
             self._pull_whole_graph(read, counts, detailed, zero, work)
-        elif opts.fuse_pull_blocks:
+        elif self.group_members is None:     # streamed graph
             self._pull_blocks_fused(read, counts, detailed, zero, work)
         else:
-            self._pull_blocks_sequential(read, counts, detailed, zero,
-                                         work)
+            self._pull_fixpoint(read, counts, detailed, zero, work)
         self._last_work = work
         self._end_iteration_sync()
         self._note_frontier(detailed)
@@ -390,40 +422,61 @@ class _Engine:
         self.counters.record_pull_scan(edges, n)
         self._commit_rows(0, new, changed, counts, detailed)
 
-    def _pull_blocks_sequential(self, read: np.ndarray,
-                                counts: CountOnlyFrontier,
-                                detailed: AdaptiveFrontier | None,
-                                zero: bool, work: np.ndarray) -> None:
-        """Reference unified pull: one Python iteration per block in
-        schedule order (the model the fused strategy must match)."""
-        g = self.graph
-        opts = self.opts
-        for p in self.partition_order:
-            p = int(p)
-            lo_p, hi_p = self.partitioning.vertex_range(p)
-            for lo in range(lo_p, hi_p, opts.block_size):
-                hi = min(lo + opts.block_size, hi_p)
-                if zero:
-                    skip = read[lo:hi] == 0
-                    scanned = self.kb.zero_cut_scan_lengths(g, read,
-                                                            lo, hi, skip)
-                    edges = int(scanned.sum())
-                else:
-                    edges = int(g.indptr[hi] - g.indptr[lo])
-                new, _ = self.kb.pull_block(g, read, lo, hi)
-                # Block-async: a thread's sequential sweep floods
-                # each internal component within the iteration.
-                new = self.kb.block_async_min(new, self.groups[lo:hi] - lo)
-                changed = new < read[lo:hi]
-                self.counters.record_pull_scan(edges, hi - lo)
-                work[p] += edges + (hi - lo)
-                self._commit_rows(lo, new, changed, counts, detailed)
+    def _pull_fixpoint(self, read: np.ndarray, counts: CountOnlyFrontier,
+                       detailed: AdaptiveFrontier | None, zero: bool,
+                       work: np.ndarray) -> None:
+        """Resident in-place pull: solve the sweep's triangular
+        min-system (module docstring) without visiting blocks.
+
+        Round 0 evaluates the non-zero rows from ``read``; each later
+        round pushes every changed value to the later-visited
+        neighbours it beats and floods their groups.  Values stay
+        upper bounds of the solution, so the fixpoint reached is it.
+        """
+        g, kb = self.graph, self.kb
+        groups, vr = self.groups, self.visit_rank
+        # A zero row can never change and, under Zero Convergence,
+        # scans nothing: only non-zero rows are evaluated.
+        rows = np.flatnonzero(read)
+        targets, deg = kb.concat_adjacency(g, rows)
+        nbr = read[targets]
+        ends = np.cumsum(deg)
+        x = read.copy()
+        np.minimum.at(x, groups[rows],
+                      kb.segment_min(nbr, ends - deg, ends, read[rows]))
+        x[rows] = x[groups[rows]]
+        moved = rows[x[rows] < read[rows]]
+        while moved.size:
+            t, d = kb.concat_adjacency(g, moved)
+            vals = np.repeat(x[moved], d)
+            # x is constant on every group, so each kept edge lowers
+            # its target's group.
+            ahead = (np.repeat(vr[moved], d) < vr[t]) & (vals < x[t])
+            into = groups[t[ahead]]
+            np.minimum.at(x, into, vals[ahead])
+            moved, _ = kb.concat_adjacency(self.group_members,
+                                           _distinct(into))
+            x[moved] = x[groups[moved]]
+        # Counters are additive, so every row is accounted in one call,
+        # converged ones included, as in the whole-graph pull.
+        pb = self.partitioning.bounds
+        if zero:
+            behind = np.repeat(vr[rows], deg) > vr[targets]
+            scan = _zero_cut(np.where(behind, x[targets], nbr), ends, deg)
+            # rows is sorted: each partition's rows are one slice of it.
+            cut = np.searchsorted(rows, pb)
+            edges = kb.blockwise_sums(scan, cut[:-1], cut[1:])
+        else:
+            edges = np.diff(g.indptr[pb])
+        self.counters.record_pull_scan(int(edges.sum()), self.n)
+        work += edges + np.diff(pb)
+        self._commit_rows(0, x, x < read, counts, detailed)
 
     def _pull_blocks_fused(self, read: np.ndarray,
                            counts: CountOnlyFrontier,
                            detailed: AdaptiveFrontier | None,
                            zero: bool, work: np.ndarray) -> None:
-        """Converged-block-aware unified pull (DESIGN.md Section 5).
+        """Converged-block-aware streamed pull (DESIGN.md Section 5).
 
         An all-zero block can never change again — labels only
         decrease and zero is the global minimum — and a visit would
@@ -432,7 +485,7 @@ class _Engine:
         call.  Partitions with no live block cost zero Python
         iterations.  Runs of consecutive live blocks go through
         :meth:`_pull_run`; everything observable (labels, counters,
-        traces) is bit-identical to the sequential strategy.
+        traces) is bit-identical to the per-block sweep.
         """
         part = self.partitioning
         bs_, be_ = self.block_starts, self.block_ends
@@ -813,6 +866,30 @@ class _Engine:
         return CCResult(labels=self.labels.copy(), trace=self.trace)
 
 
+def _distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``values``: ``np.unique`` by one sort, which is
+    several times faster than its hashing pass on integer ids."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
+def _zero_cut(seen: np.ndarray, ends: np.ndarray,
+              deg: np.ndarray) -> np.ndarray:
+    """Zero-Convergence scan length of each row whose neighbour labels
+    are concatenated in ``seen`` (row i ends at ``ends[i]``): the
+    1-based position of its first zero, or its degree if it has none."""
+    starts = ends - deg
+    zeros = np.flatnonzero(seen == 0)
+    if not zeros.size:
+        return deg
+    k = np.searchsorted(zeros, starts)
+    first = zeros[np.minimum(k, zeros.size - 1)]
+    return np.where((k < zeros.size) & (first < ends),
+                    first - starts + 1, deg)
+
+
 def label_propagation_cc(graph: CSRGraph,
                          opts: LPOptions | None = None,
                          *, dataset: str = "") -> CCResult:
@@ -913,7 +990,10 @@ def _label_propagation_run(graph: CSRGraph, opts: LPOptions,
         counts = None
 
     # --- main loop ---------------------------------------------------------
-    while eng.trace.num_iterations < opts.max_iterations:
+    # Convergence is tested before the cap, so a run that converges in
+    # exactly max_iterations iterations returns (the bootstrap above
+    # may already have overshot a cap of 1).
+    while True:
         if detailed is not None:
             density = detailed.density(g)
             active_v = detailed.num_active
@@ -922,8 +1002,12 @@ def _label_propagation_run(graph: CSRGraph, opts: LPOptions,
             density = counts.density(g)
             active_v = counts.num_active
             active_e = counts.num_active_edges
-        if active_v == 0:
+        if active_v == 0 and eng.trace.num_iterations <= opts.max_iterations:
             break
+        if eng.trace.num_iterations >= opts.max_iterations:
+            raise RuntimeError(
+                f"{opts.algorithm_name} exceeded max_iterations="
+                f"{opts.max_iterations}; graph or options are pathological")
         before = eng.counters.copy()
         if density < opts.threshold:
             if detailed is None:
@@ -946,9 +1030,5 @@ def _label_propagation_run(graph: CSRGraph, opts: LPOptions,
                 detailed, counts = new_detailed, None
             else:
                 detailed, counts = None, new_counts
-    else:
-        raise RuntimeError(
-            f"{opts.algorithm_name} exceeded max_iterations="
-            f"{opts.max_iterations}; graph or options are pathological")
 
     return eng.finalize()

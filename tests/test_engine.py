@@ -16,6 +16,7 @@ from repro.graph import CSRGraph, component_labels_reference
 from repro.graph.generators import path_graph, star_graph
 from repro.instrument import Direction
 from repro.validate import same_partition, validate_against_reference
+from tests.pull_oracle import reference_cc
 
 
 class TestCorrectness:
@@ -181,6 +182,25 @@ class TestOptionsValidation:
         with pytest.raises(RuntimeError, match="max_iterations"):
             label_propagation_cc(
                 g, LPOptions(max_iterations=2, algorithm_name="t"))
+
+    @pytest.mark.parametrize("method", ["thrifty", "dolp"])
+    def test_max_iterations_exactly_reached(self, method):
+        """A run converging in exactly ``max_iterations`` iterations
+        returns; one iteration less raises."""
+        from repro.graph.datasets import DATASETS
+        g = DATASETS["Pkc"].build(0.05)
+        run = thrifty_cc if method == "thrifty" else dolp_cc
+        free = run(g)
+        assert free.trace.iterations[-1].changed_vertices == 0
+        capped = run(g, max_iterations=free.num_iterations)
+        assert np.array_equal(capped.labels, free.labels)
+        assert capped.num_iterations == free.num_iterations
+        for a, b in zip(capped.trace.iterations, free.trace.iterations):
+            assert a.direction == b.direction
+            assert a.counters.as_dict() == b.counters.as_dict()
+            assert a.makespan == b.makespan
+        with pytest.raises(RuntimeError, match="max_iterations"):
+            run(g, max_iterations=free.num_iterations - 1)
 
     def test_race_rate_bounds(self):
         with pytest.raises(ValueError, match="race_rate"):
@@ -518,8 +538,9 @@ class TestBlockBounds:
 
 
 class TestPullFusionIdentity:
-    """fuse_pull_blocks only changes wall-clock: labels, counters and
-    traces stay bit-identical to the per-block reference strategy."""
+    """The production unified pull only changes wall-clock: labels,
+    counters and traces stay bit-identical to the per-block reference
+    sweep (``tests/pull_oracle.py``)."""
 
     OPTION_GRID = [
         {},
@@ -535,13 +556,9 @@ class TestPullFusionIdentity:
 
     def test_bit_identical_runs(self, small_skewed):
         for overrides in self.OPTION_GRID:
-            results = [
-                label_propagation_cc(
-                    small_skewed,
-                    LPOptions(fuse_pull_blocks=fuse,
-                              track_convergence=False, **overrides))
-                for fuse in (True, False)]
-            fused, ref = results
+            opts = LPOptions(track_convergence=False, **overrides)
+            fused = label_propagation_cc(small_skewed, opts)
+            ref = reference_cc(small_skewed, opts)
             assert np.array_equal(fused.labels, ref.labels), overrides
             assert fused.num_iterations == ref.num_iterations, overrides
             for a, b in zip(fused.trace.iterations, ref.trace.iterations):
@@ -551,12 +568,9 @@ class TestPullFusionIdentity:
                 assert a.makespan == b.makespan, (overrides, a.index)
 
     def test_bit_identical_on_zoo(self, zoo_graph):
-        results = [
-            label_propagation_cc(
-                zoo_graph, LPOptions(fuse_pull_blocks=fuse,
-                                     track_convergence=False))
-            for fuse in (True, False)]
-        fused, ref = results
+        opts = LPOptions(track_convergence=False)
+        fused = label_propagation_cc(zoo_graph, opts)
+        ref = reference_cc(zoo_graph, opts)
         assert np.array_equal(fused.labels, ref.labels)
         for a, b in zip(fused.trace.iterations, ref.trace.iterations):
             assert a.counters.as_dict() == b.counters.as_dict()

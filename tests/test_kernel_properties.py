@@ -133,6 +133,23 @@ def test_blockwise_sums_matches_naive(backend, values, cuts):
         assert out[i] == int(values[s:e].sum())
 
 
+@settings(max_examples=100, deadline=None)
+@given(graph_labels_block(), st.data())
+def test_concat_adjacency_matches_naive(backend, case, data):
+    """Any row list — unsorted, repeated, zero-degree rows anywhere —
+    yields the rows' adjacency lists back to back, in the graph's
+    index dtype, with int64 degrees."""
+    g = case[0]
+    rows = np.array(data.draw(st.lists(
+        st.integers(0, g.num_vertices - 1), max_size=12)), dtype=np.int64)
+    targets, counts = get_backend(backend).concat_adjacency(g, rows)
+    expect = [int(u) for r in rows for u in g.neighbors(int(r))]
+    assert targets.tolist() == expect
+    assert targets.dtype == g.indices.dtype
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [g.degree(int(r)) for r in rows]
+
+
 def test_all_zero_labels_scan_nothing(backend):
     g = build_graph(from_pairs([(0, 1), (1, 2), (2, 3)], 4),
                     drop_zero_degree=False)

@@ -149,9 +149,6 @@ GONE = {
     "thrifty-fuse_push": (
         partial(options_for, "thrifty", fuse_push=False),
         ValueError, r"valid options: \[.*'threshold'"),
-    "thrifty-fuse_pull_blocks": (
-        partial(options_for, "thrifty", fuse_pull_blocks=False),
-        ValueError, r"valid options: \[.*'threshold'"),
     "afforest-local": (
         partial(options_for, "afforest", local=False), ValueError,
         r"valid options: \['backend', 'neighbor_rounds', 'sample_size', "

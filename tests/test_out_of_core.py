@@ -19,6 +19,7 @@ from repro.service import (
 )
 from repro.service.registry import probe_graph
 from repro.storage import BlockedGraph, write_blocked
+from tests.pull_oracle import per_block_pulls
 
 SPEC = MACHINES["SkylakeX"]
 
@@ -101,7 +102,11 @@ class TestStreamedEngine:
             write_blocked(graph, path, edges_per_block=256)
             bg = BlockedGraph.open(path, resident_bytes=budget)
             try:
-                result = thrifty_cc(bg, fuse_pull_blocks=fused)
+                if fused:
+                    result = thrifty_cc(bg)
+                else:
+                    with per_block_pulls():
+                        result = thrifty_cc(bg)
             finally:
                 bg.close()
             fetches[fused] = (result.extras["io"]["blocks_read"]
