@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.coo import _edge_keys
 from ..graph.csr import CSRGraph
 from ..graph.properties import _gather_neighbors
 
@@ -33,10 +34,10 @@ def relabel(graph: CSRGraph, perm: np.ndarray, *,
             ) -> tuple[CSRGraph, np.ndarray]:
     """Apply an explicit permutation: ``new_id = perm[old_id]``.
 
-    Fully vectorized: one lexsort over the relabelled edge list stands
-    in for the per-vertex scatter loop (the sort key is (new row, new
-    neighbour), which lands every edge in its CSR slot with neighbours
-    ascending — the exact layout the loop produced).
+    Fully vectorized: one sort of the relabelled edges' int64 keys
+    stands in for the per-vertex scatter loop (the key orders by (new
+    row, new neighbour), which lands every edge in its CSR slot with
+    neighbours ascending — the exact layout the loop produced).
     ``assume_permutation=True`` skips the validity check for callers
     that constructed ``perm`` themselves (the orderings below — they
     invert an argsort, a permutation by construction).
@@ -68,12 +69,9 @@ def relabel(graph: CSRGraph, perm: np.ndarray, *,
     # source, new destination): rows land in new-id order with each
     # row's neighbours ascending — bit-identical to scattering row by
     # row and sorting each row.
-    new_src = perm[np.repeat(np.arange(n, dtype=np.int64),
-                             graph.degrees)]
-    new_dst = perm[graph.indices]
-    order = np.lexsort((new_dst, new_src))
-    indices = np.ascontiguousarray(new_dst[order])
-    return CSRGraph(indptr, indices), perm
+    keys = np.sort(_edge_keys(perm[graph.edge_sources()],
+                              perm[graph.indices], n))
+    return CSRGraph(indptr, keys % max(n, 1)), perm
 
 
 def degree_sort_relabel(graph: CSRGraph, *, descending: bool = True

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ...graph.coo import distinct
 from ...graph.csr import CSRGraph
 
 _INT64_MAX = np.iinfo(np.int64).max
@@ -349,7 +350,7 @@ def batch_atomic_min(array: np.ndarray,
         raise ValueError("indices and values must have equal shapes")
     if indices.size == 0:
         return np.empty(0, dtype=np.int64)
-    targets = np.unique(indices)
+    targets = distinct(indices)
     before = array[targets].copy()
     np.minimum.at(array, indices, values)
     return targets[array[targets] < before].astype(np.int64)

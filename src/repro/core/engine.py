@@ -76,6 +76,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ..graph.coo import distinct
 from ..graph.csr import CSRGraph
 from ..instrument.counters import OpCounters
 from ..instrument.trace import Direction, IterationRecord, RunTrace
@@ -252,7 +253,7 @@ class _Engine:
             # Each partition cut into block_size pieces from its own
             # start; empty partitions add no boundary.
             self.block_bounds = self.kb.chunked_cuts(
-                np.unique(self.partitioning.bounds), opts.block_size)
+                distinct(self.partitioning.bounds), opts.block_size)
             # Block-provider seam: a streaming graph (out-of-core
             # BlockedGraph) computes its groups with one sequential
             # setup scan instead of a resident edge array; the result
@@ -455,7 +456,7 @@ class _Engine:
             into = groups[t[ahead]]
             np.minimum.at(x, into, vals[ahead])
             moved, _ = kb.concat_adjacency(self.group_members,
-                                           _distinct(into))
+                                           distinct(into))
             x[moved] = x[groups[moved]]
         # Counters are additive, so every row is accounted in one call,
         # converged ones included, as in the whole-graph pull.
@@ -615,7 +616,7 @@ class _Engine:
             # Offsets into `active` where a new partition begins;
             # chunks never straddle them (partitions are contiguous
             # vertex ranges and `active` is sorted).
-            seg = np.unique(np.searchsorted(active, part.bounds))
+            seg = distinct(np.searchsorted(active, part.bounds))
             cuts = self.kb.chunked_cuts(seg, opts.block_size)
             chunk_part = part.partition_of(active[cuts[:-1]])
             if opts.fuse_push:
@@ -777,7 +778,7 @@ class _Engine:
             s = nw
             if live_rows:
                 cgt, cgc = gt[changed_grp], gc[changed_grp]
-                pool = np.unique(np.concatenate([cgt, rows]))
+                pool = distinct(np.concatenate([cgt, rows]))
                 first_changed = np.full(pool.size, nw, dtype=np.int64)
                 np.minimum.at(first_changed,
                               np.searchsorted(pool, cgt), cgc)
@@ -797,7 +798,7 @@ class _Engine:
                 bt, bc = gt[sel], gc[sel]
                 order2 = np.lexsort((bt, bc))
                 bt, bc = bt[order2], bc[order2]
-                jlist = np.unique(bc)
+                jlist = distinct(bc)
                 lo = np.searchsorted(bc, jlist)
                 hi = np.searchsorted(bc, jlist, side="right")
                 for b0, b1 in zip(lo.tolist(), hi.tolist()):
@@ -864,15 +865,6 @@ class _Engine:
                 rec.converged_fraction = float(
                     np.count_nonzero(snap == final) / max(self.n, 1))
         return CCResult(labels=self.labels.copy(), trace=self.trace)
-
-
-def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct ``values``: ``np.unique`` by one sort, which is
-    several times faster than its hashing pass on integer ids."""
-    values = np.sort(values)
-    keep = np.ones(values.size, dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return values[keep]
 
 
 def _zero_cut(seen: np.ndarray, ends: np.ndarray,

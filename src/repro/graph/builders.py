@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .coo import EdgeList, remove_self_loops, symmetrize
+from .coo import (EdgeList, _edge_keys, distinct, remove_self_loops,
+                  symmetrize)
 from .csr import CSRGraph
 
 __all__ = ["build_graph", "build_graph_streamed", "from_pairs",
@@ -62,10 +63,11 @@ def build_graph_streamed(chunks,
 
     For inputs too large to materialize as one EdgeList (the paper's
     datasets reach 15.6 B edges), the standard out-of-core recipe is
-    two passes over the stream: count degrees, then scatter neighbours
-    into a preallocated array.  ``chunks`` is any re-iterable of
-    ``(src, dst)`` array pairs (e.g. a generator factory's output
-    consumed twice via a list, or chunked reads of a file).
+    two passes over the stream: count the edges, then write their keys
+    into a preallocated array that one sort orders and dedupes.
+    ``chunks`` is any re-iterable of ``(src, dst)`` array pairs (e.g. a
+    generator factory's output consumed twice via a list, or chunked
+    reads of a file).
 
     Normalization matches :func:`build_graph`: self-loops dropped,
     edges symmetrized, duplicates removed, zero-degree vertices
@@ -73,48 +75,31 @@ def build_graph_streamed(chunks,
     """
     chunk_list = list(chunks)
     n = int(num_vertices)
-    # Pass 1: degree count (both directions, self-loops dropped).
-    counts = np.zeros(n, dtype=np.int64)
+    # Pass 1: validate ids and count the kept half-edges.
+    total = 0
     for src, dst in chunk_list:
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         if src.size and (min(src.min(), dst.min()) < 0
                          or max(src.max(), dst.max()) >= n):
             raise ValueError("vertex id out of range in chunk")
-        keep = src != dst
-        counts += np.bincount(src[keep], minlength=n)
-        counts += np.bincount(dst[keep], minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    # Pass 2: scatter into place.
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    cursor = indptr[:-1].copy()
+        total += 2 * int(np.count_nonzero(src != dst))
+    # Pass 2: write both directions' edge keys into one preallocated
+    # array, then sort and dedup them once.
+    keys = np.empty(total, dtype=np.int64)
+    at = 0
     for src, dst in chunk_list:
         src = np.ascontiguousarray(src, dtype=np.int64)
         dst = np.ascontiguousarray(dst, dtype=np.int64)
         keep = src != dst
         for a, b in ((src[keep], dst[keep]), (dst[keep], src[keep])):
-            order = np.argsort(a, kind="stable")
-            a_sorted, b_sorted = a[order], b[order]
-            uniq, start_idx = np.unique(a_sorted, return_index=True)
-            group_counts = np.diff(np.append(start_idx,
-                                             a_sorted.size))
-            offs = np.repeat(cursor[uniq], group_counts)
-            within = np.arange(a_sorted.size) - np.repeat(
-                start_idx, group_counts)
-            indices[offs + within] = b_sorted
-            cursor[uniq] += group_counts
-    # Sort rows + dedup within rows.
-    rows = np.repeat(np.arange(n, dtype=np.int64), counts)
-    order = np.lexsort((indices, rows))
-    rows, indices = rows[order], indices[order]
-    if rows.size:
-        dup = np.zeros(rows.size, dtype=bool)
-        dup[1:] = (rows[1:] == rows[:-1]) & (indices[1:] == indices[:-1])
-        rows, indices = rows[~dup], indices[~dup]
-    final_counts = np.bincount(rows, minlength=n)
+            keys[at:at + a.size] = _edge_keys(a, b, n)
+            at += a.size
+    keys = distinct(keys)
+    m = max(n, 1)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(final_counts, out=indptr[1:])
+    np.cumsum(np.bincount(keys // m, minlength=n), out=indptr[1:])
+    indices = keys % m
     graph = CSRGraph(indptr, indices)
     if drop_zero_degree:
         edges, _ = compact_vertices(graph.to_edge_list())

@@ -5,8 +5,13 @@ both directions (Section II).  Raw inputs (generators, files) arrive as
 COO edge lists; this module canonicalizes them: symmetrization,
 deduplication, self-loop removal, and basic sanity checking.
 
-All operations are vectorized; a million-edge list normalizes in a few
-tens of milliseconds.
+Every edge ordering in ingest goes through one int64 key per edge,
+``src * n + dst`` (:func:`_edge_keys`): one value sort of the keys
+orders edges by (source, neighbour), and ``//`` / ``%`` decode them.
+Sorted distinct values come from :func:`distinct`, one sort plus a
+neighbour compare.  Neither calls ``np.unique``: numpy 2.x answers it
+with a hash table when no ``return_*`` flag is given, which is many
+times slower than a sort on integer ids.
 """
 
 from __future__ import annotations
@@ -20,7 +25,13 @@ __all__ = [
     "symmetrize",
     "dedup",
     "remove_self_loops",
+    "distinct",
+    "MAX_KEY_VERTICES",
 ]
+
+#: Largest vertex count whose edge keys fit int64: the top key is
+#: ``n * n - 1``, so ``n`` may not exceed ``isqrt(2**63)``.
+MAX_KEY_VERTICES = 3_037_000_499
 
 
 @dataclass(frozen=True)
@@ -75,9 +86,26 @@ class EdgeList:
 
 
 def _edge_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
-    """Encode edge pairs as single int64 keys for sorting/dedup."""
-    # n can be 0 for an empty graph; guard the multiplier.
-    return src * max(n, 1) + dst
+    """Encode edge pairs over ``0..n-1`` as int64 keys ``src * n + dst``.
+
+    Keys sort by (src, dst) and decode as ``key // n, key % n`` (with
+    ``n`` at least 1: an empty graph has no keys to decode).  Raises
+    ``ValueError`` past :data:`MAX_KEY_VERTICES`, where keys would wrap.
+    """
+    if n > MAX_KEY_VERTICES:
+        raise ValueError(
+            f"{n} vertices exceed the int64 edge-key limit of "
+            f"{MAX_KEY_VERTICES} (MAX_KEY_VERTICES)")
+    return np.asarray(src, dtype=np.int64) * max(n, 1) + dst
+
+
+def distinct(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct ``values``, equal to ``np.unique(values)``, from
+    one sort and a neighbour compare (no hash table)."""
+    values = np.sort(values)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
 
 
 def remove_self_loops(edges: EdgeList) -> EdgeList:
@@ -93,13 +121,13 @@ def remove_self_loops(edges: EdgeList) -> EdgeList:
 
 
 def dedup(edges: EdgeList) -> EdgeList:
-    """Remove duplicate directed edges, preserving no particular order."""
+    """Remove duplicate directed edges; the rest come out sorted by
+    (src, dst)."""
     if edges.num_edges == 0:
         return edges
-    keys = _edge_keys(edges.src, edges.dst, edges.num_vertices)
-    uniq = np.unique(keys)
-    n = max(edges.num_vertices, 1)
-    return EdgeList(uniq // n, uniq % n, edges.num_vertices)
+    n = edges.num_vertices
+    keys = distinct(_edge_keys(edges.src, edges.dst, n))
+    return EdgeList(keys // n, keys % n, n)
 
 
 def symmetrize(edges: EdgeList) -> EdgeList:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coo import EdgeList
+from .coo import EdgeList, _edge_keys
 
 __all__ = ["CSRGraph"]
 
@@ -63,8 +63,8 @@ class CSRGraph:
             if unsorted.any():
                 rows = np.repeat(np.arange(n, dtype=np.int64),
                                  np.diff(indptr))
-                order = np.lexsort((indices, rows))
-                indices = np.ascontiguousarray(indices[order])
+                keys = np.sort(_edge_keys(rows, indices, n))
+                indices = (keys % n).astype(dtype)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
@@ -130,13 +130,12 @@ class CSRGraph:
         (src, dst) key.
         """
         n = edges.num_vertices
-        order = np.lexsort((edges.dst, edges.src))
-        src = edges.src[order]
-        dst = edges.dst[order]
-        counts = np.bincount(src, minlength=n)
+        keys = np.sort(_edge_keys(edges.src, edges.dst, n))
+        m = max(n, 1)
+        counts = np.bincount(keys // m, minlength=n)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(counts, out=indptr[1:])
-        return cls(indptr, dst)
+        return cls(indptr, keys % m)
 
     def to_edge_list(self) -> EdgeList:
         src = np.repeat(np.arange(self.num_vertices, dtype=np.int64),

@@ -62,11 +62,10 @@ def extract_giant_component(graph: CSRGraph) -> CSRGraph:
     degs = graph.degrees[keep]
     indptr = np.zeros(keep.size + 1, dtype=np.int64)
     np.cumsum(degs, out=indptr[1:])
-    starts = graph.indptr[keep]
-    total = int(degs.sum())
-    idx = np.arange(total, dtype=np.int64)
-    seg = np.searchsorted(indptr[1:], idx, side="right")
-    pos = starts[seg] + (idx - indptr[seg])
+    # Output slot i of row r reads input slot
+    # graph.indptr[keep[r]] + (i - indptr[r]): one repeat of the shifts.
+    pos = (np.repeat(graph.indptr[keep] - indptr[:-1], degs)
+           + np.arange(int(indptr[-1]), dtype=np.int64))
     indices = remap[graph.indices[pos]]
     return CSRGraph(indptr, indices)
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..builders import build_graph
-from ..coo import EdgeList
+from ..coo import EdgeList, distinct
 from ..csr import CSRGraph
 from .rng import as_generator
 
@@ -53,10 +53,10 @@ def barabasi_albert_edges(num_vertices: int,
     for v in range(m + 1, num_vertices):
         # Draw with replacement then dedup; top up until m distinct
         # targets — duplicates are rare once the pool is large.
-        targets = np.unique(pool[rng.integers(0, 2 * k, size=m)])
+        targets = distinct(pool[rng.integers(0, 2 * k, size=m)])
         while targets.size < m:
             extra = pool[rng.integers(0, 2 * k, size=m)]
-            targets = np.unique(np.concatenate([targets, extra]))[:m]
+            targets = distinct(np.concatenate([targets, extra]))[:m]
         e = slice(k, k + m)
         src[e] = v
         dst[e] = targets

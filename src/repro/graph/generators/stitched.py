@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..coo import EdgeList
 from ..csr import CSRGraph
 from .rng import as_generator
 
@@ -60,20 +61,7 @@ def with_dust_components(base: CSRGraph,
         v = np.arange(s, s + size - 1, dtype=np.int64)
         src_parts.append(v)
     src = np.concatenate(src_parts)
-    dst = src + 1
-    # Dust CSR: each path vertex has degree 1 or 2.
-    both_src = np.concatenate([src, dst])
-    both_dst = np.concatenate([dst, src])
-    order = np.argsort(both_src, kind="stable")
-    both_src = both_src[order]
-    both_dst = both_dst[order]
-    counts = np.bincount(both_src - base.num_vertices, minlength=total)
-    dust_indptr = np.zeros(total + 1, dtype=np.int64)
-    np.cumsum(counts, out=dust_indptr[1:])
-    indptr = np.concatenate([base.indptr,
-                             base.num_edges + dust_indptr[1:]])
-    indices = np.concatenate([base.indices.astype(np.int64), both_dst])
-    return CSRGraph(indptr, indices)
+    return _with_edges(base, src, src + 1, base.num_vertices + total)
 
 
 def with_tendrils(base: CSRGraph,
@@ -135,33 +123,16 @@ def with_tendrils(base: CSRGraph,
         remap[n0 + sel] = n0 + rng.permutation(sel)
         src = remap[src]
         dst = remap[dst]
-    # Merge into CSR without a full rebuild: count new degrees.
-    n = n0 + total
-    both_src = np.concatenate([src, dst])
-    both_dst = np.concatenate([dst, src])
-    extra_deg = np.bincount(both_src, minlength=n)
-    new_indptr = np.zeros(n + 1, dtype=np.int64)
-    new_indptr[1:n0 + 1] = base.indptr[1:]
-    new_indptr[n0 + 1:] = base.num_edges   # tendril rows start empty
-    new_indptr[1:] += np.cumsum(extra_deg)
-    new_indices = np.empty(base.num_edges + both_src.size, dtype=np.int64)
-    # Place base adjacency, then tendril edges, bucketed per vertex.
-    cursor = new_indptr[:-1].copy()
-    base_deg = base.degrees
-    for_rows = np.repeat(np.arange(n0, dtype=np.int64), base_deg)
-    pos = cursor[for_rows] + (np.arange(base.num_edges)
-                              - base.indptr[for_rows])
-    new_indices[pos] = base.indices
-    cursor[:n0] += base_deg
-    order = np.argsort(both_src, kind="stable")
-    bs = both_src[order]
-    bd = both_dst[order]
-    offs = np.zeros(n, dtype=np.int64)
-    counts = np.bincount(bs, minlength=n)
-    np.cumsum(counts[:-1], out=offs[1:])
-    pos2 = cursor[bs] + (np.arange(bs.size) - offs[bs])
-    new_indices[pos2] = bd
-    return CSRGraph(new_indptr, new_indices)
+    return _with_edges(base, src, dst, n0 + total)
+
+
+def _with_edges(base: CSRGraph, src: np.ndarray, dst: np.ndarray,
+                n: int) -> CSRGraph:
+    """``base`` grown to ``n`` vertices plus the undirected edges
+    ``(src[i], dst[i])``: one key sort of all edges, no re-placement."""
+    return CSRGraph.from_edge_list(EdgeList(
+        np.concatenate((base.edge_sources(), src, dst)),
+        np.concatenate((base.indices, dst, src)), n))
 
 
 def star_graph(num_leaves: int) -> CSRGraph:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .coo import _edge_keys, distinct
 from .csr import CSRGraph
 
 __all__ = ["canonical_edge_batch", "insert_edges", "remove_edges"]
@@ -47,6 +48,8 @@ def canonical_edge_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
     a canonical form, so equal batches compare equal element-wise.
     Non-integer endpoints raise ``TypeError`` and negative ones
     ``ValueError``: neither is ever truncated or wrapped into range.
+    So does an id at or above :data:`~repro.graph.coo.MAX_KEY_VERTICES`,
+    whose pair keys would wrap int64.
     """
     src, dst = _endpoints(src), _endpoints(dst)
     if src.shape != dst.shape:
@@ -60,7 +63,7 @@ def canonical_edge_batch(src, dst) -> tuple[np.ndarray, np.ndarray]:
     if lo.size == 0:
         return lo, hi
     span = int(hi.max()) + 1
-    keys = np.unique(lo * span + hi)
+    keys = distinct(_edge_keys(lo, hi, span))
     return keys // span, keys % span
 
 
@@ -121,13 +124,13 @@ def insert_edges(graph: CSRGraph, src, dst
     lo, hi = lo[~found], hi[~found]
     if lo.size == 0:
         return graph, lo, hi
-    add_src = np.concatenate((lo, hi))
-    add_dst = np.concatenate((hi, lo))
     # Half-edges sharing a slot (same row, adjacent new neighbours)
     # must land in ascending order: np.insert keeps ties in the order
     # given, so give them sorted by (src, dst).
-    order = np.lexsort((add_dst, add_src))
-    add_src, add_dst = add_src[order], add_dst[order]
+    n = graph.num_vertices
+    keys = np.sort(_edge_keys(np.concatenate((lo, hi)),
+                              np.concatenate((hi, lo)), n))
+    add_src, add_dst = keys // n, keys % n
     slots, _ = _find_slots(graph, add_src, add_dst)
     indices = np.insert(graph.indices, slots, add_dst)
     return CSRGraph(_shifted_indptr(graph, add_src, 1), indices), lo, hi

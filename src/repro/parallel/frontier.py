@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.coo import distinct
 from ..graph.csr import CSRGraph
 
 __all__ = ["CountOnlyFrontier", "AdaptiveFrontier"]
@@ -104,7 +105,7 @@ class AdaptiveFrontier:
         are not double counted); the representation switches if the
         density crosses the threshold.
         """
-        vertices = np.unique(np.asarray(vertices, dtype=np.int64))
+        vertices = distinct(np.asarray(vertices, dtype=np.int64))
         if vertices.size == 0:
             return
         if vertices[0] < 0 or vertices[-1] >= self._n:
@@ -112,7 +113,7 @@ class AdaptiveFrontier:
         if self._mode == "worklist":
             keep = ~np.isin(vertices, self._list, assume_unique=True)
             fresh = vertices[keep]
-            self._list = np.union1d(self._list, fresh)
+            self._list = distinct(np.concatenate((self._list, fresh)))
         else:
             fresh = vertices[~self._bitmap[vertices]]
             self._bitmap[fresh] = True

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..graph.coo import distinct
 from .scheduler import steal_replay
 
 __all__ = ["LocalWorklists"]
@@ -52,7 +53,7 @@ class LocalWorklists:
         vertices = np.asarray(vertices, dtype=np.int64)
         if vertices.size == 0:
             return 0
-        vertices = np.unique(vertices)
+        vertices = distinct(vertices)
         fresh_mask = self._enqueued[vertices] == 0
         take = vertices[fresh_mask]
         if self._race_rate > 0.0:
