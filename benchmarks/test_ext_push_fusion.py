@@ -1,10 +1,11 @@
 """Extension experiment — fused push-chunk speedup.
 
-The push iteration has two bit-identical strategies (DESIGN.md
+The push iteration must match a bit-identical reference (DESIGN.md
 Section 5): the reference evaluates every partition-bounded chunk in
-its own Python iteration; the fused strategy reconstructs a whole
-window of chunks' exact sequential semantics from one fused
-evaluation — per-(target, chunk) group minima plus a segmented
+its own Python iteration (``tests/push_oracle.py``); the engine's
+fused strategy reconstructs a whole window of chunks' exact
+sequential semantics from one fused evaluation — per-(target,
+chunk) group minima plus a segmented
 running minimum — and commits every chunk up to the first read-side
 hazard.  This experiment measures the wall-clock effect where the
 per-chunk interpreter overhead is the whole iteration: a push-only
@@ -30,6 +31,7 @@ from repro.core.engine import LPOptions, _Engine
 from repro.experiments import format_table
 from repro.graph.generators import rmat_graph
 from repro.parallel import AdaptiveFrontier
+from tests.push_oracle import PerChunkEngine
 
 RMAT_SCALE = 18 if SCALE >= 0.75 else 15
 EDGE_FACTOR = 8
@@ -43,7 +45,8 @@ def _push_sweep(graph, fuse):
     the best-of-2 wall-clock."""
     best = float("inf")
     for _ in range(2):
-        eng = _Engine(graph, LPOptions(fuse_push=fuse, **OPTIONS), "")
+        engine_cls = _Engine if fuse else PerChunkEngine
+        eng = engine_cls(graph, LPOptions(**OPTIONS), "")
         frontier = AdaptiveFrontier.full(graph)
         drains, works = [], []
         t0 = time.perf_counter()

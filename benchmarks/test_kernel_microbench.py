@@ -9,13 +9,10 @@ the pytest-benchmark tracking across changes.
 import numpy as np
 import pytest
 
-from repro.core.kernels import (
-    concat_adjacency,
-    pull_block,
-    zero_cut_scan_lengths,
-)
 from repro.core.backends import get_backend
 from repro.graph.generators import rmat_graph
+
+KB = get_backend()
 
 
 @pytest.fixture(scope="module")
@@ -35,14 +32,14 @@ def bench_labels(bench_graph):
 
 def test_perf_pull_block(benchmark, bench_graph, bench_labels):
     n = bench_graph.num_vertices
-    result = benchmark(pull_block, bench_graph, bench_labels, 0, n)
+    result = benchmark(KB.pull_block, bench_graph, bench_labels, 0, n)
     assert result[0].size == n
 
 
 def test_perf_zero_cut(benchmark, bench_graph, bench_labels):
     n = bench_graph.num_vertices
-    scanned = benchmark(zero_cut_scan_lengths, bench_graph,
-                        bench_labels, 0, n)
+    _, _, scanned = benchmark(KB.pull_block_zero_cut, bench_graph,
+                              bench_labels, 0, n)
     assert scanned.size == n
     assert scanned.sum() <= bench_graph.num_edges
 
@@ -51,7 +48,7 @@ def test_perf_concat_adjacency(benchmark, bench_graph):
     rng = np.random.default_rng(3)
     rows = np.sort(rng.choice(bench_graph.num_vertices, size=5000,
                               replace=False)).astype(np.int64)
-    targets, counts = benchmark(concat_adjacency, bench_graph, rows)
+    targets, counts = benchmark(KB.concat_adjacency, bench_graph, rows)
     assert int(counts.sum()) == targets.size
 
 

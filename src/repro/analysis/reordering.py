@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.coo import _edge_keys
+from ..core.backends import get_backend
+from ..graph.coo import _edge_keys, distinct
 from ..graph.csr import CSRGraph
-from ..graph.properties import _gather_neighbors
 
 __all__ = [
     "relabel",
@@ -104,9 +104,8 @@ def bfs_relabel(graph: CSRGraph, source: int | None = None
     while frontier.size:
         order[pos:pos + frontier.size] = frontier
         pos += frontier.size
-        nbrs = _gather_neighbors(graph, frontier,
-                                 graph.degrees[frontier])
-        new = np.unique(nbrs[~seen[nbrs]])
+        nbrs, _ = get_backend().concat_adjacency(graph, frontier)
+        new = distinct(nbrs[~seen[nbrs]])
         seen[new] = True
         frontier = new.astype(np.int64)
     rest = np.flatnonzero(~seen)

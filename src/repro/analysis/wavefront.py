@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.backends import get_backend
+from ..graph.coo import distinct
 from ..graph.csr import CSRGraph
-from ..graph.properties import _gather_neighbors
 
 __all__ = [
     "WavefrontStats",
@@ -145,9 +146,8 @@ def hub_distance_profile(graph: CSRGraph,
     counts = [1]
     while frontier.size:
         level += 1
-        nbrs = _gather_neighbors(graph, frontier,
-                                 graph.degrees[frontier])
-        new = np.unique(nbrs[dist[nbrs] < 0])
+        nbrs, _ = get_backend().concat_adjacency(graph, frontier)
+        new = distinct(nbrs[dist[nbrs] < 0])
         if new.size == 0:
             break
         dist[new] = level

@@ -43,7 +43,17 @@ from .disjoint_set import (
     union_edge_batch,
 )
 
-__all__ = ["afforest_cc"]
+__all__ = ["afforest_cc", "validate_afforest"]
+
+
+def validate_afforest(neighbor_rounds: int, sample_size: int) -> None:
+    """Reject sampling parameters that would corrupt the run: a
+    negative round reads the previous row's edges in phase 3, and an
+    empty sample has no most frequent component."""
+    if neighbor_rounds < 0:
+        raise ValueError("neighbor_rounds must be >= 0")
+    if sample_size < 1:
+        raise ValueError("sample_size must be >= 1")
 
 
 def afforest_cc(graph: CSRGraph, *, neighbor_rounds: int = 2,
@@ -59,6 +69,7 @@ def afforest_cc(graph: CSRGraph, *, neighbor_rounds: int = 2,
     results are bit-identical across backends.
     """
     del machine
+    validate_afforest(neighbor_rounds, sample_size)
     kb = get_backend(backend)
     n = graph.num_vertices
     trace = RunTrace(algorithm="afforest", dataset=dataset)
@@ -129,10 +140,11 @@ def afforest_cc(graph: CSRGraph, *, neighbor_rounds: int = 2,
             offsets = np.zeros(rows.size, dtype=np.int64)
             np.cumsum(counts[:-1], out=offsets[1:])
             total = int(counts.sum())
-            idx = np.arange(total, dtype=np.int64)
-            seg = np.searchsorted(offsets, idx, side="right") - 1
-            pos = (graph.indptr[rows][seg] + neighbor_rounds
-                   + (idx - offsets[seg]))
+            # Edge k of row i sits at indptr[rows[i]] + neighbor_rounds
+            # + (k - offsets[i]): one repeat of the per-row shift.
+            pos = (np.repeat(graph.indptr[rows] + neighbor_rounds
+                             - offsets, counts)
+                   + np.arange(total, dtype=np.int64))
             targets = graph.indices[pos].astype(np.int64)
             sources = np.repeat(rows, counts)
             links, hops = union_edge_batch(parent, sources, targets,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.kernels import concat_adjacency
+from ..core.backends import get_backend
 from ..core.result import CCResult
 from ..graph.csr import CSRGraph
 from ..instrument.counters import OpCounters
@@ -65,6 +65,7 @@ def bfs_cc(graph: CSRGraph, *,
     trace.setup_counters.label_writes += n
     if n == 0:
         return CCResult(labels=comp, trace=trace)
+    kb = get_backend()
     degrees = graph.degrees
     total_edges = graph.num_edges
     explored_edges = 0
@@ -93,7 +94,7 @@ def bfs_cc(graph: CSRGraph, *,
                 in_frontier = np.zeros(n, dtype=bool)
                 in_frontier[frontier] = True
                 unvisited = np.flatnonzero(comp == -1)
-                targets, counts = concat_adjacency(graph, unvisited)
+                targets, counts = kb.concat_adjacency(graph, unvisited)
                 hit = in_frontier[targets]
                 scan = _first_hit_lengths(counts, hit)
                 joined_mask = np.zeros(unvisited.size, dtype=bool)
@@ -110,7 +111,7 @@ def bfs_cc(graph: CSRGraph, *,
                                           int(unvisited.size))
                 direction = Direction.PULL
             else:
-                targets, counts = concat_adjacency(graph, frontier)
+                targets, counts = kb.concat_adjacency(graph, frontier)
                 fresh = targets[comp[targets] == -1]
                 new = np.unique(fresh).astype(np.int64)
                 edges_scanned = int(targets.size)

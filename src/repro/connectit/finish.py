@@ -36,6 +36,7 @@ from ..baselines.disjoint_set import (
     resolve_roots_local,
     union_edge_batch,
 )
+from ..core.backends import get_backend
 from ..graph.csr import CSRGraph
 from ..instrument.counters import OpCounters
 
@@ -91,8 +92,7 @@ def finish_skip_giant(graph: CSRGraph, parent: np.ndarray,
     outside = np.flatnonzero(roots != giant)
     total = 0
     if outside.size:
-        from ..core.kernels import concat_adjacency
-        targets, counts = concat_adjacency(graph, outside)
+        targets, counts = get_backend().concat_adjacency(graph, outside)
         sources = np.repeat(outside, counts)
         if targets.size:
             links, hops = union_edge_batch(parent, sources,
@@ -145,9 +145,9 @@ def finish_thrifty_pull(graph: CSRGraph, parent: np.ndarray,
     counters.sequential_accesses += n
     counters.label_writes += n
     total = 0
-    from ..core.kernels import pull_block_zero_cut
+    kb = get_backend()
     while True:
-        new, changed, lengths = pull_block_zero_cut(graph, labels, 0, n)
+        new, changed, lengths = kb.pull_block_zero_cut(graph, labels, 0, n)
         scanned = int(lengths.sum())
         counters.record_pull_scan(scanned, n)
         total += scanned

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..baselines.disjoint_set import charge_union, union_edge_batch
+from ..core.backends import get_backend
 from ..graph.csr import CSRGraph
 from ..instrument.counters import OpCounters
 
@@ -86,21 +87,11 @@ def sample_bfs(graph: CSRGraph, parent: np.ndarray,
     for _ in range(rounds):
         if frontier.size == 0:
             break
-        counts = graph.degrees[frontier]
-        src = np.repeat(frontier, counts)
-        offsets = graph.indptr[frontier]
-        total_edges = int(counts.sum())
-        if total_edges == 0:
+        dst, counts = get_backend().concat_adjacency(graph, frontier)
+        if dst.size == 0:
             break
-        pos = np.concatenate([
-            np.arange(o, o + c) for o, c in zip(offsets, counts)]) \
-            if frontier.size < 10_000 else None
-        if pos is None:  # large-frontier fallback
-            from ..core.kernels import concat_adjacency
-            dst, counts = concat_adjacency(graph, frontier)
-            src = np.repeat(frontier, counts)
-        else:
-            dst = graph.indices[pos].astype(np.int64)
+        src = np.repeat(frontier, counts)
+        dst = dst.astype(np.int64)
         links, hops = union_edge_batch(parent, src, dst, local=local)
         charge_union(counters, int(dst.size), links, hops)
         total += int(dst.size)
@@ -138,8 +129,7 @@ def sample_ldd(graph: CSRGraph, parent: np.ndarray,
     for _ in range(rounds):
         if frontier.size == 0:
             break
-        from ..core.kernels import concat_adjacency
-        dst, counts = concat_adjacency(graph, frontier)
+        dst, counts = get_backend().concat_adjacency(graph, frontier)
         src = np.repeat(frontier, counts)
         if dst.size == 0:
             break

@@ -4,11 +4,6 @@ from .dolp import DOLP_OPTIONS, dolp_cc
 from .kla import KLAOptions, kla_cc
 from .engine import LPOptions, label_propagation_cc
 from .labels import identity_labels, zero_planted_labels
-from .reference import (
-    reference_dolp,
-    reference_label_propagation_iterations,
-    reference_thrifty,
-)
 from .result import CCResult, RESERVED_EXTRAS, validate_extras
 from .thrifty import THRIFTY_OPTIONS, thrifty_cc
 from .unified import UNIFIED_OPTIONS, unified_dolp_cc
@@ -29,7 +24,4 @@ __all__ = [
     "thrifty_cc",
     "identity_labels",
     "zero_planted_labels",
-    "reference_dolp",
-    "reference_thrifty",
-    "reference_label_propagation_iterations",
 ]

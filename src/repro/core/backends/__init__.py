@@ -27,8 +27,8 @@ state, and the serving layer keys caches and learned costs per
 backend.
 
 The implementation modules (``_numpy``, ``_numba``) are
-backend-private: use the registry, or the :mod:`repro.core.kernels`
-facade for the default backend.
+backend-private: use the registry.  Code with no ``backend`` option
+of its own calls ``get_backend()``, the canonical backend.
 """
 
 from __future__ import annotations
@@ -60,8 +60,8 @@ DEFAULT_BACKEND = "numpy"
 class KernelBackend(Protocol):
     """The hot-kernel surface every registered backend implements.
 
-    Semantics are pinned by the canonical numpy backend and the
-    docstrings in :mod:`repro.core.kernels`; implementations must be
+    Semantics are pinned by the canonical numpy backend and its
+    docstrings (``_numpy.py``); implementations must be
     bit-identical on every output — the cost model and counters only
     ever see *what* was computed, never how fast.  ``name`` is the
     registry key the backend was written for.
@@ -83,11 +83,6 @@ class KernelBackend(Protocol):
                             skip: np.ndarray | None = None
                             ) -> tuple[np.ndarray, np.ndarray,
                                        np.ndarray]: ...
-
-    def zero_cut_scan_lengths(self, graph: Any, labels: np.ndarray,
-                              lo: int, hi: int,
-                              skip: np.ndarray | None = None
-                              ) -> np.ndarray: ...
 
     def intra_block_groups(self, graph: Any, block_bounds: np.ndarray
                            ) -> np.ndarray: ...
@@ -112,10 +107,6 @@ class KernelBackend(Protocol):
 
     def batch_atomic_min(self, array: np.ndarray, indices: np.ndarray,
                          values: np.ndarray) -> np.ndarray: ...
-
-    def batch_atomic_min_count(self, array: np.ndarray,
-                               indices: np.ndarray, values: np.ndarray
-                               ) -> tuple[np.ndarray, int]: ...
 
     def scatter_min_count(self, array: np.ndarray, indices: np.ndarray,
                           values: np.ndarray) -> int: ...

@@ -96,21 +96,6 @@ def _fill_pull_zero_cut(indptr, indices, labels, lo, hi, skip,
 
 
 @njit(cache=True, nogil=True)
-def _fill_zero_cut_lengths(indptr, indices, labels, lo, hi, skip, out):
-    for i in range(hi - lo):
-        row = lo + i
-        if skip[i]:
-            out[i] = 0
-            continue
-        cnt = np.int64(0)
-        for p in range(indptr[row], indptr[row + 1]):
-            cnt += 1
-            if labels[indices[p]] == 0:
-                break
-        out[i] = cnt
-
-
-@njit(cache=True, nogil=True)
 def _fill_concat_adjacency(indptr, indices, rows, offsets, targets):
     for i in range(rows.size):
         row = rows[i]
@@ -225,20 +210,6 @@ def pull_block_zero_cut(graph: CSRGraph, labels: np.ndarray,
     return new, changed, scanned
 
 
-def zero_cut_scan_lengths(graph: CSRGraph, labels: np.ndarray,
-                          lo: int, hi: int,
-                          skip: np.ndarray | None = None) -> np.ndarray:
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    if skip is None:
-        skip = labels[lo:hi] == 0
-    out = np.empty(hi - lo, dtype=np.int64)
-    _fill_zero_cut_lengths(graph.indptr, graph.indices, labels,
-                           np.int64(lo), np.int64(hi),
-                           np.ascontiguousarray(skip), out)
-    return out
-
-
 def concat_adjacency(graph: CSRGraph, rows: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     rows = np.ascontiguousarray(rows, dtype=np.int64)
@@ -304,20 +275,6 @@ def batch_atomic_min(array: np.ndarray,
     return targets[array[targets] < before].astype(np.int64)
 
 
-def batch_atomic_min_count(array: np.ndarray,
-                           indices: np.ndarray,
-                           values: np.ndarray) -> tuple[np.ndarray, int]:
-    changed = batch_atomic_min(array, indices, values)
-    if changed.size == 0:
-        return changed, 0
-    indices = np.asarray(indices)
-    values = np.asarray(values)
-    pos = np.searchsorted(changed, indices)
-    on_changed = changed[np.minimum(pos, changed.size - 1)] == indices
-    winning = values == array[indices]
-    return changed, int(np.count_nonzero(on_changed & winning))
-
-
 def scatter_min_count(array: np.ndarray,
                       indices: np.ndarray,
                       values: np.ndarray) -> int:
@@ -344,11 +301,9 @@ class NumbaBackend(NumpyBackend):
     segment_min = staticmethod(segment_min)
     pull_block = staticmethod(pull_block)
     pull_block_zero_cut = staticmethod(pull_block_zero_cut)
-    zero_cut_scan_lengths = staticmethod(zero_cut_scan_lengths)
     block_async_min = staticmethod(block_async_min)
     push_scan_lengths = staticmethod(push_scan_lengths)
     fused_push_window = staticmethod(fused_push_window)
     concat_adjacency = staticmethod(concat_adjacency)
     batch_atomic_min = staticmethod(batch_atomic_min)
-    batch_atomic_min_count = staticmethod(batch_atomic_min_count)
     scatter_min_count = staticmethod(scatter_min_count)

@@ -1,8 +1,7 @@
 """Canonical numpy kernel implementations (backend-private).
 
 This module is backend-private: use it through
-:func:`repro.core.backends.get_backend` (or the
-:mod:`repro.core.kernels` facade).  The set of modules is an
+:func:`repro.core.backends.get_backend`.  The set of modules is an
 implementation detail of the registry: compiled backends subclass
 :class:`NumpyBackend` and must stay free to reorganize these files.
 
@@ -11,11 +10,11 @@ The kernels are the batch equivalents of the paper's C inner loops:
 * :meth:`NumpyBackend.pull_block` — the pull traversal over a
   contiguous vertex block: per-row minimum over neighbour labels
   (``minimum.reduceat`` over the CSR slice).
-* :meth:`NumpyBackend.zero_cut_scan_lengths` — exact count of edges a
-  sequential scan with the Zero Convergence early-exit (Algorithm 2
-  line 31) would touch: the position of each row's first
-  zero-labelled neighbour, found with one ``flatnonzero`` +
-  ``searchsorted``.
+* :meth:`NumpyBackend.pull_block_zero_cut` — the same, plus the exact
+  count of edges a sequential scan with the Zero Convergence
+  early-exit (Algorithm 2 line 31) would touch: the position of each
+  row's first zero-labelled neighbour, found with one ``flatnonzero``
+  + ``searchsorted``.
 * :meth:`NumpyBackend.concat_adjacency` — gather the adjacency lists
   of an arbitrary vertex set (push traversals, BFS frontiers).
 * :meth:`NumpyBackend.fused_push_window` — speculative fused
@@ -112,12 +111,13 @@ def pull_block_zero_cut(graph: CSRGraph, labels: np.ndarray,
 
     One gather of the rows' full adjacency yields both: the new labels
     and changed mask are exactly :func:`pull_block`'s, and the per-row
-    scan lengths exactly :func:`zero_cut_scan_lengths` (skipped rows —
-    own label already zero, or ``skip[i]`` — scan nothing, every other
-    row stops at its first zero-labelled neighbour, Algorithm 2 line
-    31).  Labels are non-negative, so a row prefix ending at a zero
-    has the same minimum as the whole row: the sequential zero-cut
-    loop computes the same minima.
+    scan lengths are the edges a Zero-Convergence scan would touch
+    (Algorithm 2 line 31): 0 for a skipped row — own label already
+    zero (the default ``skip``), or ``skip[i]`` — otherwise the
+    1-based position of the row's first zero-labelled neighbour, or
+    its degree when it has none.  Labels are non-negative, so a row
+    prefix ending at a zero has the same minimum as the whole row:
+    the sequential zero-cut loop computes the same minima.
 
     Returns ``(new_labels_block, changed_mask, scan_lengths)``.  Does
     not write; callers decide commit policy.
@@ -139,32 +139,6 @@ def pull_block_zero_cut(graph: CSRGraph, labels: np.ndarray,
     new = segment_min(nbr_labels, starts, ends, own)
     return new, new < own, _zero_cut_lengths(nbr_labels, starts, ends,
                                              skip)
-
-
-def zero_cut_scan_lengths(graph: CSRGraph, labels: np.ndarray,
-                          lo: int, hi: int,
-                          skip: np.ndarray | None = None) -> np.ndarray:
-    """Edges a Zero-Convergence scan of rows ``[lo, hi)`` would touch.
-
-    For each row: 0 if the row is skipped (own label already zero),
-    otherwise the 1-based position of its first zero-labelled
-    neighbour (the scan breaks there), or the full degree when no
-    neighbour is zero.
-
-    ``skip`` is the per-row skip mask (default: ``labels[lo:hi]==0``).
-    """
-    if hi <= lo:
-        return np.empty(0, dtype=np.int64)
-    if skip is None:
-        skip = labels[lo:hi] == 0
-    s0 = int(graph.indptr[lo])
-    s1 = int(graph.indptr[hi])
-    if s1 == s0:
-        return np.zeros(hi - lo, dtype=np.int64)
-    starts = (graph.indptr[lo:hi] - s0).astype(np.int64)
-    ends = (graph.indptr[lo + 1:hi + 1] - s0).astype(np.int64)
-    return _zero_cut_lengths(labels[graph.indices[s0:s1]], starts, ends,
-                             skip)
 
 
 def _zero_cut_lengths(nbr_labels: np.ndarray, starts: np.ndarray,
@@ -356,33 +330,6 @@ def batch_atomic_min(array: np.ndarray,
     return targets[array[targets] < before].astype(np.int64)
 
 
-def batch_atomic_min_count(array: np.ndarray,
-                           indices: np.ndarray,
-                           values: np.ndarray) -> tuple[np.ndarray, int]:
-    """Like :func:`batch_atomic_min`, also counting successful CAS ops.
-
-    The count approximates how many individual CAS-min calls
-    would have returned True in a sequential replay: for each target
-    cell, every distinct strictly-decreasing value in arrival order
-    would have succeeded once.  We report the linearized lower bound
-    (one success per changed cell) plus the number of duplicate
-    attempts that carried the winning value, which the counters use
-    for instruction accounting.
-    """
-    changed = batch_atomic_min(array, indices, values)
-    if changed.size == 0:
-        return changed, 0
-    indices = np.asarray(indices)
-    values = np.asarray(values)
-    # An attempt "carried the winning value" when its value equals the
-    # cell's final (minimum) value; restrict to cells that changed so
-    # no-op attempts on already-minimal cells are not credited.
-    pos = np.searchsorted(changed, indices)
-    on_changed = changed[np.minimum(pos, changed.size - 1)] == indices
-    winning = values == array[indices]
-    return changed, int(np.count_nonzero(on_changed & winning))
-
-
 def scatter_min_count(array: np.ndarray,
                       indices: np.ndarray,
                       values: np.ndarray) -> int:
@@ -420,7 +367,6 @@ class NumpyBackend:
     segment_min = staticmethod(segment_min)
     pull_block = staticmethod(pull_block)
     pull_block_zero_cut = staticmethod(pull_block_zero_cut)
-    zero_cut_scan_lengths = staticmethod(zero_cut_scan_lengths)
     intra_block_groups = staticmethod(intra_block_groups)
     block_async_min = staticmethod(block_async_min)
     chunked_cuts = staticmethod(chunked_cuts)
@@ -428,5 +374,4 @@ class NumpyBackend:
     fused_push_window = staticmethod(fused_push_window)
     concat_adjacency = staticmethod(concat_adjacency)
     batch_atomic_min = staticmethod(batch_atomic_min)
-    batch_atomic_min_count = staticmethod(batch_atomic_min_count)
     scatter_min_count = staticmethod(scatter_min_count)

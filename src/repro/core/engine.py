@@ -39,21 +39,15 @@ evaluates non-zero rows only and the sweep skips all-zero blocks.
 The push mirrors that structure.  The active worklist is split at
 partition boundaries first and only then into ``block_size`` chunks,
 so a chunk always lies in exactly one partition and runs on that
-partition's owning thread.  Two bit-identical strategies again:
-
-* ``fuse_push=True`` (default) — each thread's chunk sequence is
-  evaluated in windows: one fused ``concat_adjacency`` evaluation
-  reconstructs the exact sequential per-chunk atomic-min semantics
-  of the whole window (per-(target, chunk) group minima + a
-  segmented running minimum), and windows whose pushes all fail are
-  accounted in bulk without per-chunk Python iterations
-  (:meth:`_Engine._push_run`).
-* ``fuse_push=False`` — the reference strategy: one Python iteration
-  per chunk in worklist order.
-
-Labels, operation counters, iteration traces, worklist drain orders
-and per-iteration makespans are identical between the strategies;
-only wall-clock time differs.
+partition's owning thread.  Each thread's chunk sequence is evaluated
+in windows: one fused ``fused_push_window`` evaluation reconstructs
+the exact sequential per-chunk atomic-min semantics of the whole
+window (per-(target, chunk) group minima + a segmented running
+minimum), and windows whose pushes all fail are accounted in bulk
+without per-chunk Python iterations (:meth:`_Engine._push_run`).  The
+literal one-Python-iteration-per-chunk loop it must match bit for bit
+(labels, counters, traces, drain orders, makespans) is test-side
+(``tests/push_oracle.py``).
 
 Makespans are computed on read.  Each traversal fills a per-partition
 work vector; :meth:`_Engine.record` keeps only its nonzero entries
@@ -101,12 +95,7 @@ class LPOptions:
     """Configuration of the label-propagation engine.
 
     The four booleans are the paper's four optimizations; defaults
-    correspond to full Thrifty.  ``fuse_push`` selects the windowed
-    fused push strategy (results are bit-identical either way; False
-    replays the reference one-Python-iteration-per-chunk visit, kept
-    for model validation and benchmarking).
-    ``frontier_switch_density`` is the worklist→bitmap threshold of
-    the engine's adaptive frontiers.  ``backend`` selects the kernel
+    correspond to full Thrifty.  ``backend`` selects the kernel
     backend the run dispatches its hot kernels through (``None`` =
     the canonical ``"numpy"`` backend); every registered backend is
     bit-identical, so it changes wall-clock only.
@@ -135,10 +124,7 @@ class LPOptions:
     partitions_per_thread: int = PARTITIONS_PER_THREAD
     block_size: int = 64
     track_convergence: bool = True
-    race_rate: float = 0.0
     max_iterations: int = 1_000_000
-    fuse_push: bool = True
-    frontier_switch_density: float = 0.02
     algorithm_name: str = "thrifty"
     backend: str | None = None
     storage: str | None = None
@@ -157,14 +143,10 @@ class LPOptions:
             raise ValueError("num_threads must be >= 1")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
-        if not (0.0 <= self.race_rate < 1.0):
-            raise ValueError("race_rate must be in [0, 1)")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.partitions_per_thread < 1:
             raise ValueError("partitions_per_thread must be >= 1")
-        if not (0.0 < self.frontier_switch_density <= 1.0):
-            raise ValueError("frontier_switch_density must be in (0, 1]")
 
     def with_machine(self, machine: MachineSpec,
                      num_threads: int | None = None) -> "LPOptions":
@@ -246,7 +228,7 @@ class _Engine:
         self.group_members: CSRGraph | None = None
         # Unified labels: precompute each block's internal components
         # for block-asynchronous in-iteration propagation (DESIGN.md
-        # Section 5 / kernels.intra_block_groups), plus the block and
+        # Section 5 / the backend's intra_block_groups), plus the block and
         # partition->block metadata every pull reuses.  Cached once:
         # the bounds, groups and schedule are iteration-invariant.
         if opts.unified_labels:
@@ -321,10 +303,6 @@ class _Engine:
 
     # -- frontier plumbing -------------------------------------------------
 
-    def _new_frontier(self) -> AdaptiveFrontier:
-        return AdaptiveFrontier(
-            self.n, switch_density=self.opts.frontier_switch_density)
-
     def _note_frontier(self, frontier: AdaptiveFrontier | None) -> None:
         """Remember the produced frontier's representation for record()."""
         if frontier is None:
@@ -345,7 +323,7 @@ class _Engine:
         changed = self.kb.batch_atomic_min(self.labels, targets, values)
         self.counters.record_push_scan(int(targets.size), 1)
         self.counters.record_cas_successes(int(changed.size))
-        frontier = self._new_frontier()
+        frontier = AdaptiveFrontier(self.n)
         frontier.set_many(g, changed)
         self.counters.record_frontier_updates(int(changed.size))
         work = np.zeros(self.partitioning.num_partitions,
@@ -368,7 +346,7 @@ class _Engine:
         opts = self.opts
         read = self._read_array()
         counts = CountOnlyFrontier()
-        detailed = self._new_frontier() if collect_frontier else None
+        detailed = AdaptiveFrontier(self.n) if collect_frontier else None
         zero = opts.zero_convergence
         work = np.zeros(self.partitioning.num_partitions,
                         dtype=np.float64)
@@ -597,19 +575,13 @@ class _Engine:
         scheduler's edge-balanced initial assignment
         (:meth:`Partitioning.owner_of`).  With unified labels each
         chunk reads the labels as updated by earlier chunks.
-
-        ``fuse_push`` selects between the per-chunk reference loop
-        and the windowed speculative fused strategy; labels,
-        counters, worklists, drain order and the per-partition work
-        vector are bit-identical either way.
         """
         g = self.graph
         opts = self.opts
         part = self.partitioning
         active = frontier.vertices()
         self.counters.sequential_accesses += int(active.size)
-        worklists = LocalWorklists(self.n, opts.num_threads,
-                                   race_rate=opts.race_rate)
+        worklists = LocalWorklists(self.n, opts.num_threads)
         work = np.zeros(part.num_partitions, dtype=np.float64)
         read = self._read_array()
         if active.size:
@@ -619,53 +591,20 @@ class _Engine:
             seg = distinct(np.searchsorted(active, part.bounds))
             cuts = self.kb.chunked_cuts(seg, opts.block_size)
             chunk_part = part.partition_of(active[cuts[:-1]])
-            if opts.fuse_push:
-                self._push_chunks_fused(active, cuts, chunk_part, read,
-                                        worklists, work)
-            else:
-                self._push_chunks_sequential(active, cuts, chunk_part,
-                                             read, worklists, work)
+            self._push_chunks(active, cuts, chunk_part, read, worklists,
+                              work)
         self._last_work = work
         self._end_iteration_sync()
         self.last_worklists = worklists
         self.last_drain_order = worklists.drain_order()
-        new_frontier = self._new_frontier()
+        new_frontier = AdaptiveFrontier(self.n)
         new_frontier.set_many(g, self.last_drain_order)
         self._note_frontier(new_frontier)
         return new_frontier
 
-    def _push_chunks_sequential(self, active: np.ndarray,
-                                cuts: np.ndarray, chunk_part: np.ndarray,
-                                read: np.ndarray,
-                                worklists: LocalWorklists,
-                                work: np.ndarray) -> None:
-        """Reference push: one Python iteration per chunk in worklist
-        order (the model the fused strategy must match)."""
-        g = self.graph
-        part = self.partitioning
-        for i in range(chunk_part.size):
-            chunk = active[cuts[i]:cuts[i + 1]]
-            p = int(chunk_part[i])
-            targets, deg = self.kb.concat_adjacency(g, chunk)
-            work[p] += int(chunk.size) + int(targets.size)
-            if targets.size == 0:
-                self.counters.record_push_scan(0, int(chunk.size))
-                continue
-            values = np.repeat(read[chunk], deg)
-            changed = self.kb.batch_atomic_min(
-                self.labels, targets.astype(np.int64), values)
-            self.counters.record_push_scan(int(targets.size),
-                                           int(chunk.size))
-            self.counters.record_cas_successes(int(changed.size))
-            if changed.size:
-                owner = part.owner_of(p)   # chunk's simulated thread
-                enq = worklists.push_batch(int(owner), changed)
-                self.counters.record_frontier_updates(enq)
-
-    def _push_chunks_fused(self, active: np.ndarray, cuts: np.ndarray,
-                           chunk_part: np.ndarray, read: np.ndarray,
-                           worklists: LocalWorklists,
-                           work: np.ndarray) -> None:
+    def _push_chunks(self, active: np.ndarray, cuts: np.ndarray,
+                     chunk_part: np.ndarray, read: np.ndarray,
+                     worklists: LocalWorklists, work: np.ndarray) -> None:
         """Fused push (DESIGN.md Section 5): chunks grouped per owning
         thread, each thread's sequence evaluated by :meth:`_push_run`
         with windowed speculative fused kernel calls."""
@@ -701,8 +640,8 @@ class _Engine:
         changed-target sets, in the same chunk order, that per-chunk
         ``batch_atomic_min`` calls would return.  Labels commit in
         one scatter-min, and each changed set is enqueued as its own
-        worklist batch in chunk order, keeping batch structure, rng
-        draws and counters bit-identical to the reference.
+        worklist batch in chunk order, keeping batch structure and
+        counters bit-identical to the per-chunk loop.
 
         The one remaining hazard is the read side: when the read
         array is the live labels array (unified labels), a chunk
@@ -977,8 +916,7 @@ def _label_propagation_run(graph: CSRGraph, opts: LPOptions,
             detailed, counts = None, new_counts
     else:
         # DO-LP bootstrap: everything active.
-        detailed = AdaptiveFrontier.full(
-            g, switch_density=opts.frontier_switch_density)
+        detailed = AdaptiveFrontier.full(g)
         counts = None
 
     # --- main loop ---------------------------------------------------------

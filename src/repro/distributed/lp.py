@@ -21,9 +21,9 @@ of remote neighbours' labels; a superstep is:
    shared-memory engine's partitioned structure: each rank's range is
    cut into edge-balanced blocks, all-zero (converged) blocks are
    skipped without touching their rows, and within a live block the
-   Zero-Convergence kernel :func:`repro.core.kernels.pull_block_zero_cut`
-   returns each row's scan length up to its first zero ghost, which
-   is what the counters charge;
+   backend's Zero-Convergence kernel ``pull_block_zero_cut`` returns
+   each row's scan length up to its first zero ghost, which is what
+   the counters charge;
 2. exchange: for each owned vertex whose label changed and that has
    remote neighbours, send (vertex, label) to each rank that needs it
    (the fabric min-combines and batches when ``combining=True``);

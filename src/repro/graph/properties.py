@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .coo import distinct
 from .csr import CSRGraph
 
 __all__ = [
@@ -176,10 +177,10 @@ def sampled_giant_fraction(graph: CSRGraph, *, samples: int = 256,
     visited = np.zeros(n, dtype=bool)
     visited[hub] = True
     frontier = np.array([hub], dtype=np.int64)
+    kb = _kernels()
     while frontier.size:
-        counts = graph.degrees[frontier]
-        nbrs = _gather_neighbors(graph, frontier, counts)
-        new = np.unique(nbrs[~visited[nbrs]])
+        nbrs, _ = kb.concat_adjacency(graph, frontier)
+        new = distinct(nbrs[~visited[nbrs]])
         if new.size == 0:
             break
         visited[new] = True
@@ -237,10 +238,10 @@ def _bfs_eccentricity(graph: CSRGraph, source: int) -> tuple[int, int]:
     frontier = np.array([source], dtype=np.int64)
     level = 0
     last = source
+    kb = _kernels()
     while frontier.size:
-        counts = graph.degrees[frontier]
-        nbrs = _gather_neighbors(graph, frontier, counts)
-        new = np.unique(nbrs[~visited[nbrs]])
+        nbrs, _ = kb.concat_adjacency(graph, frontier)
+        new = distinct(nbrs[~visited[nbrs]])
         if new.size == 0:
             break
         visited[new] = True
@@ -250,17 +251,8 @@ def _bfs_eccentricity(graph: CSRGraph, source: int) -> tuple[int, int]:
     return level, last
 
 
-def _gather_neighbors(graph: CSRGraph, frontier: np.ndarray,
-                      counts: np.ndarray) -> np.ndarray:
-    """Concatenate adjacency lists of all frontier vertices, vectorized."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=graph.indices.dtype)
-    starts = graph.indptr[frontier]
-    # offsets[i] = position in the output where frontier[i]'s list begins
-    offsets = np.zeros(frontier.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    idx = np.arange(total, dtype=np.int64)
-    seg = np.searchsorted(offsets, idx, side="right") - 1
-    pos = starts[seg] + (idx - offsets[seg])
-    return graph.indices[pos]
+def _kernels():
+    """The canonical kernel backend (imported late: ``repro.core``
+    imports ``repro.graph``)."""
+    from ..core.backends import get_backend
+    return get_backend()

@@ -28,10 +28,9 @@ the same cache entry.
 LP-family fields default to ``None`` meaning "keep the algorithm's
 canonical value" (:data:`repro.core.thrifty.THRIFTY_OPTIONS` etc.), so
 a default-constructed options object reproduces the historical
-behaviour bit-for-bit.  The options carry tunings only: bit-identical
-reference strategies (per-block pull, per-chunk push, all-vertex
-union-find) are reachable through :class:`repro.core.engine.LPOptions`
-and the algorithms' own keyword arguments, not through this module.
+behaviour bit-for-bit.  The options carry tunings only: the
+all-vertex union-find reference is reachable through the algorithms'
+own keyword arguments, not through this module.
 
 Every engine-bearing options class carries a ``backend`` field naming
 the kernel backend the run dispatches its hot kernels through
@@ -48,6 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Any
 
+from .baselines.afforest import validate_afforest
 from .core.backends import canonical_backend
 from .core.kla import KLAOptions
 from .storage.modes import canonical_storage
@@ -94,8 +94,6 @@ class _LPEngineOptions:
     num_threads: int | None = None
     block_size: int | None = None
     partitions_per_thread: int | None = None
-    frontier_switch_density: float | None = None
-    race_rate: float | None = None
     max_iterations: int | None = None
     track_convergence: bool | None = None
     backend: str | None = None
@@ -155,6 +153,10 @@ class AfforestOptions(UnionFindOptions):
     neighbor_rounds: int = 2
     sample_size: int = 1024
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        validate_afforest(self.neighbor_rounds, self.sample_size)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,11 @@ import numpy as np
 from ..graph.coo import distinct
 from ..graph.csr import CSRGraph
 
-__all__ = ["CountOnlyFrontier", "AdaptiveFrontier"]
+__all__ = ["CountOnlyFrontier", "AdaptiveFrontier", "SWITCH_DENSITY"]
+
+#: Fraction of vertices active above which an :class:`AdaptiveFrontier`
+#: switches from its worklist to a bitmap (the engine's threshold).
+SWITCH_DENSITY = 0.02
 
 
 class AdaptiveFrontier:
@@ -45,7 +49,7 @@ class AdaptiveFrontier:
     """
 
     def __init__(self, num_vertices: int,
-                 *, switch_density: float = 0.02) -> None:
+                 *, switch_density: float = SWITCH_DENSITY) -> None:
         if not (0.0 < switch_density <= 1.0):
             raise ValueError("switch_density must be in (0, 1]")
         self._n = num_vertices
@@ -58,7 +62,7 @@ class AdaptiveFrontier:
 
     @classmethod
     def full(cls, graph: CSRGraph, *,
-             switch_density: float = 0.02) -> "AdaptiveFrontier":
+             switch_density: float = SWITCH_DENSITY) -> "AdaptiveFrontier":
         """All vertices active — starts directly in bitmap mode
         (construction, not a switch: ``conversions`` stays 0)."""
         f = cls(graph.num_vertices, switch_density=switch_density)

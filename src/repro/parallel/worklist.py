@@ -5,8 +5,8 @@ Paper Section IV-E: push iterations collect next-frontier vertices into
 atomics) marks vertices already enqueued anywhere.  Races may enqueue a
 vertex twice — harmless for correctness, and the paper accepts it.  In
 the deterministic simulation there are no real races, so the dedup is
-exact; a configurable ``race_rate`` can inject the duplicate-enqueue
-behaviour for testing the algorithms' tolerance of it.
+exact; the tests inject duplicate enqueues with a subclass
+(``tests/push_oracle.py``) to check the algorithms tolerate them.
 
 Threads drain their own worklist first (batches front-to-back), then
 steal whole batches from others (ascending own, descending victims —
@@ -26,26 +26,18 @@ __all__ = ["LocalWorklists"]
 class LocalWorklists:
     """The Section IV-E push-frontier data structure."""
 
-    def __init__(self, num_vertices: int, num_threads: int,
-                 *, race_rate: float = 0.0,
-                 seed: int | None = 0) -> None:
+    def __init__(self, num_vertices: int, num_threads: int) -> None:
         if num_threads < 1:
             raise ValueError("num_threads must be >= 1")
-        if not (0.0 <= race_rate < 1.0):
-            raise ValueError("race_rate must be in [0, 1)")
         self.num_threads = num_threads
         # The shared byte array: 1 = already enqueued somewhere.
         self._enqueued = np.zeros(num_vertices, dtype=np.uint8)
         self._lists: list[list[np.ndarray]] = [[] for _ in range(num_threads)]
-        self._race_rate = race_rate
-        self._rng = np.random.default_rng(seed)
 
     def push_batch(self, thread_id: int, vertices: np.ndarray) -> int:
         """Thread ``thread_id`` enqueues vertices not yet marked.
 
-        Returns how many were actually enqueued.  With ``race_rate``
-        > 0, a fraction of already-marked vertices is enqueued anyway,
-        modelling the unsynchronized byte-array race the paper allows.
+        Returns how many were actually enqueued.
         """
         if not (0 <= thread_id < self.num_threads):
             raise ValueError(f"thread {thread_id} out of range "
@@ -54,13 +46,7 @@ class LocalWorklists:
         if vertices.size == 0:
             return 0
         vertices = distinct(vertices)
-        fresh_mask = self._enqueued[vertices] == 0
-        take = vertices[fresh_mask]
-        if self._race_rate > 0.0:
-            dupes = vertices[~fresh_mask]
-            if dupes.size:
-                raced = dupes[self._rng.random(dupes.size) < self._race_rate]
-                take = np.concatenate([take, raced])
+        take = vertices[self._enqueued[vertices] == 0]
         if take.size == 0:
             return 0
         self._enqueued[take] = 1
@@ -95,9 +81,8 @@ class LocalWorklists:
         each batch by its size: each thread consumes its own batches
         front-to-back; a thread that runs dry steals the most-loaded
         victim's *last* batch, preserving the victim's own
-        front-to-back locality.  May contain duplicates if race
-        injection is enabled — consumers must tolerate reprocessing,
-        as the paper's algorithm does.
+        front-to-back locality.  Consumers must tolerate duplicates
+        (a racing enqueue), as the paper's algorithm does.
         """
         batches = [b for lst in self._lists for b in lst]
         if not batches:

@@ -38,8 +38,8 @@ class PerBlockEngine(engine._Engine):
                 hi = min(lo + self.opts.block_size, hi_p)
                 if zero:
                     skip = read[lo:hi] == 0
-                    scanned = kb.zero_cut_scan_lengths(g, read, lo, hi,
-                                                       skip)
+                    scanned = kb.pull_block_zero_cut(g, read, lo, hi,
+                                                     skip)[2]
                     edges = int(scanned.sum())
                 else:
                     edges = int(g.indptr[hi] - g.indptr[lo])

@@ -46,6 +46,40 @@ class TestCorrectness:
             validate_against_reference(small_skewed, r)
 
 
+class TestAfforestValidation:
+    """Sampling parameters that used to corrupt the run are rejected
+    by name, at the options and at the function."""
+
+    @staticmethod
+    def _paths_and_isolated():
+        # Two disjoint 3-paths plus an isolated vertex: 3 components.
+        from repro.graph import build_graph, from_pairs
+        return build_graph(from_pairs([(0, 1), (1, 2), (3, 4), (4, 5)],
+                                      7), drop_zero_degree=False)
+
+    @pytest.mark.parametrize("field,value",
+                             [("neighbor_rounds", -1),
+                              ("sample_size", 0)])
+    def test_options_reject(self, field, value):
+        from repro.options import AfforestOptions
+        with pytest.raises(ValueError, match=field):
+            AfforestOptions(**{field: value})
+
+    @pytest.mark.parametrize("field,value",
+                             [("neighbor_rounds", -1),
+                              ("sample_size", 0)])
+    def test_function_rejects(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            afforest_cc(self._paths_and_isolated(), **{field: value})
+
+    def test_boundaries_are_legal(self):
+        g = self._paths_and_isolated()
+        for kwargs in ({"neighbor_rounds": 0}, {"sample_size": 1}):
+            result = afforest_cc(g, **kwargs)
+            assert result.num_components == 3
+            validate_against_reference(g, result)
+
+
 class TestCostShapes:
     def test_sv_processes_all_edges_every_round(self, small_skewed):
         r = shiloach_vishkin_cc(small_skewed)

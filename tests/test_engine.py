@@ -17,6 +17,7 @@ from repro.graph.generators import path_graph, star_graph
 from repro.instrument import Direction
 from repro.validate import same_partition, validate_against_reference
 from tests.pull_oracle import reference_cc
+from tests.push_oracle import PerChunkEngine, racy_worklists
 
 
 class TestCorrectness:
@@ -59,7 +60,8 @@ class TestCorrectness:
         assert result.num_components == 1
 
     def test_race_injection_still_correct(self, small_skewed):
-        result = thrifty_cc(small_skewed, race_rate=0.5)
+        with racy_worklists(0.5):
+            result = thrifty_cc(small_skewed)
         validate_against_reference(small_skewed, result)
 
     def test_thread_counts_do_not_change_components(self, small_skewed):
@@ -202,14 +204,6 @@ class TestOptionsValidation:
         with pytest.raises(RuntimeError, match="max_iterations"):
             run(g, max_iterations=free.num_iterations - 1)
 
-    def test_race_rate_bounds(self):
-        with pytest.raises(ValueError, match="race_rate"):
-            LPOptions(race_rate=-0.1)
-        with pytest.raises(ValueError, match="race_rate"):
-            LPOptions(race_rate=1.0)
-        LPOptions(race_rate=0.0)          # boundaries that are legal
-        LPOptions(race_rate=0.999)
-
     def test_max_iterations_bounds(self):
         with pytest.raises(ValueError, match="max_iterations"):
             LPOptions(max_iterations=0)
@@ -221,13 +215,6 @@ class TestOptionsValidation:
         with pytest.raises(ValueError, match="partitions_per_thread"):
             LPOptions(partitions_per_thread=0)
         LPOptions(partitions_per_thread=1)
-
-    def test_frontier_switch_density_bounds(self):
-        with pytest.raises(ValueError, match="frontier_switch_density"):
-            LPOptions(frontier_switch_density=0.0)
-        with pytest.raises(ValueError, match="frontier_switch_density"):
-            LPOptions(frontier_switch_density=1.5)
-        LPOptions(frontier_switch_density=1.0)
 
     def test_with_machine_retargets(self):
         from repro.parallel import EPYC
@@ -283,7 +270,6 @@ class TestPushOwnership:
         drain."""
         import numpy as np
         from tests.conftest import graph_from_pairs
-        from repro.core.kernels import concat_adjacency
         from repro.core.backends import get_backend
         from repro.parallel import AdaptiveFrontier, LocalWorklists
         # Hub 0 fills the first partition by itself; every chain
@@ -304,7 +290,7 @@ class TestPushOwnership:
             wl = LocalWorklists(g.num_vertices, 2)
             for lo in range(active.size):
                 chunk = active[lo:lo + 1]
-                targets, deg = concat_adjacency(g, chunk)
+                targets, deg = get_backend().concat_adjacency(g, chunk)
                 if targets.size == 0:
                     continue
                 values = np.repeat(labels[chunk], deg)
@@ -341,10 +327,9 @@ class TestPushChunkStraddle:
         g = path_graph(10)
         opts = LPOptions(num_threads=2, partitions_per_thread=1,
                          block_size=4, zero_planting=False,
-                         track_convergence=False,
-                         fuse_push=request.param)
+                         track_convergence=False)
         from repro.core.engine import _Engine
-        eng = _Engine(g, opts, "")
+        eng = (_Engine if request.param else PerChunkEngine)(g, opts, "")
         assert eng.partitioning.bounds.tolist() == [0, 5, 10]
         return g, eng
 

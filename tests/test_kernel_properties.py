@@ -1,7 +1,7 @@
 """Property tests: vectorized pull kernels vs naive per-vertex loops.
 
-The engine trusts :func:`segment_min` / :func:`pull_block` /
-:func:`zero_cut_scan_lengths` to be exact batch equivalents of the
+The engine trusts ``segment_min`` / ``pull_block`` /
+``pull_block_zero_cut`` to be exact batch equivalents of the
 paper's sequential C loops; these tests check them against direct
 per-vertex Python references over randomized graphs, labels with many
 zeros (Zero Convergence's steady state), empty rows, single-vertex
@@ -76,7 +76,7 @@ def test_pull_block_matches_naive(backend, case):
 def test_zero_cut_scan_matches_naive(backend, case):
     g, labels, lo, hi = case
     kb = get_backend(backend)
-    assert np.array_equal(kb.zero_cut_scan_lengths(g, labels, lo, hi),
+    assert np.array_equal(kb.pull_block_zero_cut(g, labels, lo, hi)[2],
                           naive_scan_lengths(g, labels, lo, hi))
 
 
@@ -88,11 +88,11 @@ def test_single_vertex_blocks_agree_with_full_block(backend, case):
     g, labels, lo, hi = case
     kb = get_backend(backend)
     full_new, _ = kb.pull_block(g, labels, lo, hi)
-    full_scan = kb.zero_cut_scan_lengths(g, labels, lo, hi)
+    full_scan = kb.pull_block_zero_cut(g, labels, lo, hi)[2]
     for v in range(lo, hi):
         one_new, _ = kb.pull_block(g, labels, v, v + 1)
         assert one_new[0] == full_new[v - lo]
-        one_scan = kb.zero_cut_scan_lengths(g, labels, v, v + 1)
+        one_scan = kb.pull_block_zero_cut(g, labels, v, v + 1)[2]
         assert one_scan[0] == full_scan[v - lo]
 
 
@@ -155,7 +155,7 @@ def test_all_zero_labels_scan_nothing(backend):
                     drop_zero_degree=False)
     labels = np.zeros(4, dtype=np.int64)
     kb = get_backend(backend)
-    assert kb.zero_cut_scan_lengths(g, labels, 0, 4).tolist() == [0] * 4
+    assert kb.pull_block_zero_cut(g, labels, 0, 4)[2].tolist() == [0] * 4
     new, changed = kb.pull_block(g, labels, 0, 4)
     assert not changed.any()
 
@@ -166,6 +166,6 @@ def test_empty_rows_scan_zero_edges(backend):
     g = build_graph(from_pairs([(0, 1)], 4), drop_zero_degree=False)
     labels = np.array([3, 2, 5, 7], dtype=np.int64)
     kb = get_backend(backend)
-    assert kb.zero_cut_scan_lengths(g, labels, 2, 4).tolist() == [0, 0]
+    assert kb.pull_block_zero_cut(g, labels, 2, 4)[2].tolist() == [0, 0]
     new, changed = kb.pull_block(g, labels, 2, 4)
     assert new.tolist() == [5, 7] and not changed.any()

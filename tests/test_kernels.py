@@ -3,16 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core.kernels import (
-    block_async_min,
-    concat_adjacency,
-    intra_block_groups,
-    pull_block,
-    segment_min,
-    zero_cut_scan_lengths,
-)
+from repro.core.backends import get_backend
 from repro.graph import CSRGraph
 from repro.graph.generators import path_graph, rmat_graph, star_graph
+
+KB = get_backend()
+block_async_min = KB.block_async_min
+concat_adjacency = KB.concat_adjacency
+intra_block_groups = KB.intra_block_groups
+pull_block = KB.pull_block
+segment_min = KB.segment_min
+
+
+def zero_cut_scan_lengths(graph, labels, lo, hi, skip=None):
+    """The scan lengths ``pull_block_zero_cut`` returns with its pull."""
+    return KB.pull_block_zero_cut(graph, labels, lo, hi, skip)[2]
 
 
 def naive_pull(graph, labels, lo, hi):

@@ -1,11 +1,13 @@
 """Typed options front door: construction, canonicalization, and the
 removed compatibility surface."""
 
+import importlib
 from functools import partial
 
 import numpy as np
 import pytest
 
+import repro.core
 import repro.distributed
 import repro.graph
 import repro.graph.io
@@ -18,7 +20,8 @@ from repro.baselines import (
 )
 from repro.baselines.lp_shortcut import lp_shortcut_cc
 from repro.connectit import connectit_cc
-from repro.core import dolp_cc, thrifty_cc, unified_dolp_cc
+from repro.core import LPOptions, dolp_cc, thrifty_cc, unified_dolp_cc
+from repro.core.backends import get_backend
 from repro.core.kla import kla_cc
 from repro.distributed import distributed_cc
 from repro.graph.generators import path_graph
@@ -149,6 +152,24 @@ GONE = {
     "thrifty-fuse_push": (
         partial(options_for, "thrifty", fuse_push=False),
         ValueError, r"valid options: \[.*'threshold'"),
+    **{f"thrifty-{name}": (
+        partial(options_for, "thrifty", **{name: 0.1}),
+        ValueError, rf"unknown option\(s\) \['{name}'\]")
+       for name in ("race_rate", "frontier_switch_density")},
+    **{f"LPOptions.{name}": (partial(LPOptions, **{name: value}),
+                             TypeError, name)
+       for name, value in (("fuse_push", False), ("race_rate", 0.1),
+                           ("frontier_switch_density", 0.5))},
+    **{f"core.{name}": (partial(getattr, repro.core, name),
+                        AttributeError, name)
+       for name in ("reference_dolp", "reference_thrifty",
+                    "reference_label_propagation_iterations")},
+    **{f"import {module}": (partial(importlib.import_module, module),
+                            ModuleNotFoundError, module)
+       for module in ("repro.core.kernels", "repro.core.reference")},
+    **{f"backend.{name}": (partial(getattr, get_backend(), name),
+                           AttributeError, name)
+       for name in ("batch_atomic_min_count", "zero_cut_scan_lengths")},
     "afforest-local": (
         partial(options_for, "afforest", local=False), ValueError,
         r"valid options: \['backend', 'neighbor_rounds', 'sample_size', "

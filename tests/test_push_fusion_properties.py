@@ -1,14 +1,17 @@
 """Property sweep: the fused push is a pure wall-clock strategy.
 
-``fuse_push=True`` (windowed speculative fused chunk evaluation) must
-be *bit-identical* to the per-chunk reference loop kept behind
-``fuse_push=False`` — in final labels, per-iteration counter deltas,
-direction sequence, simulated makespans, and the worklist drain order
-— across graph families (skewed RMAT, road grid, uniform
-Erdős–Rényi) and every optimization-switch ablation.  This is the
-push analogue of ``TestPullFusionIdentity``; it is what licenses the
-engine to default the fused strategy on.
+The engine's push (windowed speculative fused chunk evaluation) must
+be *bit-identical* to the per-chunk reference loop of
+``tests/push_oracle.py`` — in final labels, per-iteration counter
+deltas, direction sequence, simulated makespans, and the worklist
+drain order — across graph families (skewed RMAT, road grid, uniform
+Erdős–Rényi) and every optimization-switch ablation, with and without
+duplicate-enqueue injection.  This is the push analogue of
+``TestPullFusionIdentity``; it is what licenses the engine to run the
+fused strategy only.
 """
+
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from repro.graph.generators import (
     with_dust_components,
 )
 from repro.parallel import AdaptiveFrontier
+from tests.push_oracle import (PerChunkEngine, per_chunk_pushes,
+                               racy_worklists)
 
 GRAPHS = {
     "rmat": lambda: with_dust_components(rmat_graph(9, 8, seed=11), 12,
@@ -44,6 +49,7 @@ OPTION_GRID = [
     {"block_size": 1},
     {"block_size": 7},
     {"race_rate": 0.3},             # duplicate-enqueue injection
+                                    # (racy_worklists, not an option)
     {"num_threads": 4, "partitions_per_thread": 2},
 ]
 
@@ -53,10 +59,26 @@ def graph(request):
     return GRAPHS[request.param]()
 
 
+def _oracles(overrides, fuse):
+    """Split ``race_rate`` off ``overrides``; return the rest and a
+    context installing the race and, unless ``fuse``, the per-chunk
+    push."""
+    overrides = dict(overrides)
+    race = overrides.pop("race_rate", 0.0)
+    stack = ExitStack()
+    if race:
+        stack.enter_context(racy_worklists(race))
+    if not fuse:
+        stack.enter_context(per_chunk_pushes())
+    return overrides, stack
+
+
 def _run(graph, fuse, overrides, backend=None):
-    return label_propagation_cc(
-        graph, LPOptions(fuse_push=fuse, track_convergence=False,
-                         backend=backend, **overrides))
+    overrides, oracles = _oracles(overrides, fuse)
+    with oracles:
+        return label_propagation_cc(
+            graph, LPOptions(track_convergence=False, backend=backend,
+                             **overrides))
 
 
 # The fusion identity must hold on every registered backend — a
@@ -94,32 +116,32 @@ def test_fused_push_drain_order_lockstep(graph, overrides, backend):
     require identical worklist drain order every round (the strongest
     scheduler-visible observable: it fixes batch contents, batch
     thread placement, and steal interleaving)."""
-    def engine(fuse):
-        opts = LPOptions(zero_planting=False, track_convergence=False,
-                         fuse_push=fuse, backend=backend, **overrides)
-        return _Engine(graph, opts, "")
-
-    fused_eng, ref_eng = engine(True), engine(False)
+    overrides, race = _oracles(overrides, True)
+    opts = LPOptions(zero_planting=False, track_convergence=False,
+                     backend=backend, **overrides)
+    fused_eng = _Engine(graph, opts, "")
+    ref_eng = PerChunkEngine(graph, opts, "")
     f_front = AdaptiveFrontier.full(graph)
     r_front = AdaptiveFrontier.full(graph)
     rounds = 0
-    while len(f_front) or len(r_front):
-        f_front = fused_eng.push(f_front)
-        r_front = ref_eng.push(r_front)
-        assert np.array_equal(fused_eng.last_drain_order,
-                              ref_eng.last_drain_order), rounds
-        assert np.array_equal(fused_eng.labels, ref_eng.labels), rounds
-        assert fused_eng.counters.as_dict() == \
-            ref_eng.counters.as_dict(), rounds
-        assert np.array_equal(fused_eng._last_work,
-                              ref_eng._last_work), rounds
-        for t in range(fused_eng.opts.num_threads):
-            fb = fused_eng.last_worklists.thread_batches(t)
-            rb = ref_eng.last_worklists.thread_batches(t)
-            assert len(fb) == len(rb), (rounds, t)
-            assert all(np.array_equal(x, y)
-                       for x, y in zip(fb, rb)), (rounds, t)
-        fused_eng._last_work = ref_eng._last_work = None
-        rounds += 1
-        assert rounds < 200   # convergence guard
+    with race:
+        while len(f_front) or len(r_front):
+            f_front = fused_eng.push(f_front)
+            r_front = ref_eng.push(r_front)
+            assert np.array_equal(fused_eng.last_drain_order,
+                                  ref_eng.last_drain_order), rounds
+            assert np.array_equal(fused_eng.labels, ref_eng.labels), rounds
+            assert fused_eng.counters.as_dict() == \
+                ref_eng.counters.as_dict(), rounds
+            assert np.array_equal(fused_eng._last_work,
+                                  ref_eng._last_work), rounds
+            for t in range(fused_eng.opts.num_threads):
+                fb = fused_eng.last_worklists.thread_batches(t)
+                rb = ref_eng.last_worklists.thread_batches(t)
+                assert len(fb) == len(rb), (rounds, t)
+                assert all(np.array_equal(x, y)
+                           for x, y in zip(fb, rb)), (rounds, t)
+            fused_eng._last_work = ref_eng._last_work = None
+            rounds += 1
+            assert rounds < 200   # convergence guard
     assert rounds > 1         # the sweep actually exercised pushes

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import thrifty_cc
-from repro.core.reference import (
+from tests.pseudocode import (
     reference_dolp,
     reference_label_propagation_iterations,
     reference_thrifty,

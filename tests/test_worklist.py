@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.parallel import LocalWorklists
+from tests.push_oracle import RacyWorklists
 
 
 class TestLocalWorklists:
@@ -39,14 +40,14 @@ class TestLocalWorklists:
     def test_race_injection_duplicates(self):
         # With race_rate=0.99 nearly every duplicate gets re-enqueued,
         # modelling the unsynchronized byte-array race.
-        wl = LocalWorklists(100, 2, race_rate=0.99, seed=1)
+        wl = RacyWorklists(100, 2, rate=0.99, seed=1)
         wl.push_batch(0, np.arange(50))
         extra = wl.push_batch(1, np.arange(50))
         assert extra > 25   # most duplicates slip through
 
     def test_race_rate_validation(self):
         with pytest.raises(ValueError):
-            LocalWorklists(5, 1, race_rate=1.0)
+            RacyWorklists(5, 1, rate=1.0)
 
     def test_thread_count_validation(self):
         with pytest.raises(ValueError):
