@@ -2,12 +2,11 @@
 
 The push iteration must match a bit-identical reference (DESIGN.md
 Section 5): the reference evaluates every partition-bounded chunk in
-its own Python iteration (``tests/push_oracle.py``); the engine's
-fused strategy reconstructs a whole window of chunks' exact
-sequential semantics from one fused evaluation — per-(target,
-chunk) group minima plus a segmented
-running minimum — and commits every chunk up to the first read-side
-hazard.  This experiment measures the wall-clock effect where the
+its own Python iteration (``tests/push_oracle.py``); the engine
+solves all of an iteration's chunks at once from one adjacency
+gather — the values rows push from a triangular min-system, then
+per-(target, chunk) group minima plus a segmented running minimum
+for the commit and each chunk's worklist batch.  This experiment measures the wall-clock effect where the
 per-chunk interpreter overhead is the whole iteration: a push-only
 label-propagation sweep (every round a push, from an all-active
 frontier down to an empty one) on a skewed RMAT graph of >= 100k

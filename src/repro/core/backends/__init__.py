@@ -93,15 +93,6 @@ class KernelBackend(Protocol):
     def chunked_cuts(self, boundaries: np.ndarray,
                      block_size: int) -> np.ndarray: ...
 
-    def push_scan_lengths(self, graph: Any, active: np.ndarray,
-                          starts: np.ndarray, ends: np.ndarray
-                          ) -> np.ndarray: ...
-
-    def fused_push_window(self, graph: Any, read: np.ndarray,
-                          write: np.ndarray, rows: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray,
-                                     np.ndarray, np.ndarray]: ...
-
     def concat_adjacency(self, graph: Any, rows: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]: ...
 

@@ -106,21 +106,6 @@ def _fill_concat_adjacency(indptr, indices, rows, offsets, targets):
 
 
 @njit(cache=True, nogil=True)
-def _fill_push_window(indptr, indices, read, write, rows, offsets,
-                      targets, values, improving):
-    for i in range(rows.size):
-        row = rows[i]
-        src = read[row]
-        base = offsets[i]
-        start = indptr[row]
-        for k in range(indptr[row + 1] - start):
-            t = indices[start + k]
-            targets[base + k] = t
-            values[base + k] = src
-            improving[base + k] = src < write[t]
-
-
-@njit(cache=True, nogil=True)
 def _scatter_min(array, indices, values):
     for k in range(indices.size):
         i = indices[k]
@@ -225,32 +210,6 @@ def concat_adjacency(graph: CSRGraph, rows: np.ndarray
     return targets, counts
 
 
-def push_scan_lengths(graph: CSRGraph, active: np.ndarray,
-                      starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    return blockwise_sums(graph.degrees[active], starts, ends)
-
-
-def fused_push_window(graph: CSRGraph, read: np.ndarray,
-                      write: np.ndarray, rows: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                 np.ndarray]:
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    counts = graph.degrees[rows].astype(np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, dtype=graph.indices.dtype),
-                np.empty(0, dtype=read.dtype), counts,
-                np.empty(0, dtype=bool))
-    offsets = np.zeros(rows.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=offsets[1:])
-    targets = np.empty(total, dtype=graph.indices.dtype)
-    values = np.empty(total, dtype=read.dtype)
-    improving = np.empty(total, dtype=bool)
-    _fill_push_window(graph.indptr, graph.indices, read, write, rows,
-                      offsets, targets, values, improving)
-    return targets, values, counts, improving
-
-
 def block_async_min(jacobi: np.ndarray, groups_local: np.ndarray
                     ) -> np.ndarray:
     out = np.empty(jacobi.size, dtype=jacobi.dtype)
@@ -302,8 +261,6 @@ class NumbaBackend(NumpyBackend):
     pull_block = staticmethod(pull_block)
     pull_block_zero_cut = staticmethod(pull_block_zero_cut)
     block_async_min = staticmethod(block_async_min)
-    push_scan_lengths = staticmethod(push_scan_lengths)
-    fused_push_window = staticmethod(fused_push_window)
     concat_adjacency = staticmethod(concat_adjacency)
     batch_atomic_min = staticmethod(batch_atomic_min)
     scatter_min_count = staticmethod(scatter_min_count)

@@ -97,14 +97,10 @@ def build_graph_streamed(chunks,
             at += a.size
     keys = distinct(keys)
     m = max(n, 1)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(keys // m, minlength=n), out=indptr[1:])
-    indices = keys % m
-    graph = CSRGraph(indptr, indices)
+    edges = EdgeList(keys // m, keys % m, n)
     if drop_zero_degree:
-        edges, _ = compact_vertices(graph.to_edge_list())
-        return CSRGraph.from_edge_list(edges)
-    return graph
+        edges, _ = compact_vertices(edges)
+    return _sorted_csr(edges)
 
 
 def build_graph(edges: EdgeList,
@@ -125,4 +121,14 @@ def build_graph(edges: EdgeList,
     edges = symmetrize(edges)
     if drop_zero_degree:
         edges, _ = compact_vertices(edges)
-    return CSRGraph.from_edge_list(edges)
+    return _sorted_csr(edges)
+
+
+def _sorted_csr(edges: EdgeList) -> CSRGraph:
+    """CSR of edges already sorted by (src, dst), as ``symmetrize``
+    returns them and ``compact_vertices``' order-preserving relabel
+    keeps them, without sorting them again."""
+    n = edges.num_vertices
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges.src, minlength=n), out=indptr[1:])
+    return CSRGraph(indptr, edges.dst)

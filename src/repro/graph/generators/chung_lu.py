@@ -59,10 +59,19 @@ def chung_lu_edges(weights: np.ndarray,
     # Inverse-CDF sampling keeps memory flat for large num_edges.
     cdf = np.cumsum(p)
     cdf[-1] = 1.0
-    src = np.searchsorted(cdf, rng.random(num_edges), side="right")
-    dst = np.searchsorted(cdf, rng.random(num_edges), side="right")
-    return EdgeList(src.astype(np.int64), dst.astype(np.int64),
-                    weights.size)
+    src = _inverse_cdf(cdf, rng.random(num_edges))
+    dst = _inverse_cdf(cdf, rng.random(num_edges))
+    return EdgeList(src, dst, weights.size)
+
+
+def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``searchsorted(cdf, u, side="right")`` as int64.  Sorted needles
+    walk ``cdf`` in order, which is faster than random probes even
+    after paying for the sort and the scatter back."""
+    order = np.argsort(u)
+    out = np.empty(u.size, dtype=np.int64)
+    out[order] = np.searchsorted(cdf, u[order], side="right")
+    return out
 
 
 def chung_lu_graph(num_vertices: int,

@@ -113,19 +113,6 @@ class OpCounters:
         self.branches += edges
         self.unpredictable_branches += edges
 
-    def record_push_skip(self, edges: int, vertices: int) -> None:
-        """Bulk accounting for push chunks whose atomic-mins all fail.
-
-        A clean chunk still performs its full scan — the per-edge
-        gathers, compares and CAS attempts — it just commits nothing,
-        so its contribution is exactly a push scan with zero
-        successes.  Counters are additive within an iteration, so one
-        bulk call for a clean window is bit-identical to the
-        per-chunk calls it replaces (the fused push uses this the way
-        the fused pull uses :meth:`record_pull_skip`).
-        """
-        self.record_push_scan(edges, vertices)
-
     def record_label_commits(self, count: int, *, random: bool) -> None:
         """``count`` label writes, classified by access pattern."""
         self.label_writes += count

@@ -126,15 +126,6 @@ class TestKernelConformance:
         t_ref, c_ref = NUMPY.concat_adjacency(g, rows)
         assert np.array_equal(t_got, t_ref)
         assert np.array_equal(c_got, c_ref)
-        write = labels.copy()
-        got = kb.fused_push_window(g, labels, write, rows)
-        ref = NUMPY.fused_push_window(g, labels, write, rows)
-        for a, b in zip(got, ref):
-            assert np.array_equal(a, b)
-        bounds = np.array([0, rows.size], dtype=np.int64)
-        assert np.array_equal(
-            kb.push_scan_lengths(g, rows, bounds[:-1], bounds[1:]),
-            NUMPY.push_scan_lengths(g, rows, bounds[:-1], bounds[1:]))
         cuts = np.array([0, rows.size // 2, rows.size], dtype=np.int64)
         assert np.array_equal(kb.chunked_cuts(cuts, 3),
                               NUMPY.chunked_cuts(cuts, 3))

@@ -25,6 +25,7 @@ from repro.core.backends import get_backend
 from repro.core.kla import kla_cc
 from repro.distributed import distributed_cc
 from repro.graph.generators import path_graph
+from repro.instrument.counters import OpCounters
 from repro.options import (
     OPTION_TYPES,
     AfforestOptions,
@@ -169,7 +170,11 @@ GONE = {
        for module in ("repro.core.kernels", "repro.core.reference")},
     **{f"backend.{name}": (partial(getattr, get_backend(), name),
                            AttributeError, name)
-       for name in ("batch_atomic_min_count", "zero_cut_scan_lengths")},
+       for name in ("batch_atomic_min_count", "zero_cut_scan_lengths",
+                    "push_scan_lengths", "fused_push_window")},
+    "OpCounters.record_push_skip": (
+        partial(getattr, OpCounters(), "record_push_skip"),
+        AttributeError, "record_push_skip"),
     "afforest-local": (
         partial(options_for, "afforest", local=False), ValueError,
         r"valid options: \['backend', 'neighbor_rounds', 'sample_size', "
