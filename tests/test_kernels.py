@@ -143,6 +143,15 @@ class TestConcatAdjacency:
         targets, counts = concat_adjacency(g, np.empty(0, np.int64))
         assert targets.size == 0
 
+    def test_consecutive_rows_are_a_copy(self):
+        g = rmat_graph(6, 5, seed=6)
+        rows = np.arange(3, 9, dtype=np.int64)
+        targets, counts = concat_adjacency(g, rows)
+        expect = np.concatenate([g.neighbors(int(r)) for r in rows])
+        assert np.array_equal(targets, expect)
+        targets[:] = -1   # the graph's own indices stay intact
+        assert np.array_equal(concat_adjacency(g, rows)[0], expect)
+
     def test_zero_degree_rows(self):
         g = CSRGraph(np.array([0, 0, 2, 4]), np.array([2, 2, 1, 1]))
         targets, counts = concat_adjacency(g, np.array([0, 1]))

@@ -1,26 +1,28 @@
-"""Property sweep: the fused push is a pure wall-clock strategy.
+"""Property sweep: the push solve is a pure wall-clock strategy.
 
-The engine's push (windowed speculative fused chunk evaluation) must
-be *bit-identical* to the per-chunk reference loop of
+The engine's push (all chunks of an iteration in one solve) must be
+*bit-identical* to the per-chunk reference loop of
 ``tests/push_oracle.py`` — in final labels, per-iteration counter
 deltas, direction sequence, simulated makespans, and the worklist
 drain order — across graph families (skewed RMAT, road grid, uniform
-Erdős–Rényi) and every optimization-switch ablation, with and without
-duplicate-enqueue injection.  This is the push analogue of
+Erdős–Rényi, a path) and every optimization-switch ablation, with and
+without duplicate-enqueue injection.  This is the push analogue of
 ``TestPullFusionIdentity``; it is what licenses the engine to run the
-fused strategy only.
+solve only.
 """
 
 from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from repro.core import LPOptions, label_propagation_cc
+from repro.core import LPOptions, engine, label_propagation_cc
 from repro.core.backends import available_backends
 from repro.core.engine import _Engine
 from repro.graph.generators import (
     erdos_renyi_graph,
+    path_graph,
     rmat_graph,
     road_network_graph,
     with_dust_components,
@@ -34,6 +36,7 @@ GRAPHS = {
                                          seed=11),
     "road": lambda: road_network_graph(20, 16, seed=13),
     "uniform": lambda: erdos_renyi_graph(350, 6.0, seed=14),
+    "path": lambda: path_graph(100),
 }
 
 # The four paper switches, each toggled off alone, plus the settings
@@ -51,6 +54,12 @@ OPTION_GRID = [
     {"race_rate": 0.3},             # duplicate-enqueue injection
                                     # (racy_worklists, not an option)
     {"num_threads": 4, "partitions_per_thread": 2},
+    # One vertex per chunk and every iteration a push: a label runs
+    # down long chains of chunks within one push.
+    {"block_size": 1, "threshold": 1.0, "num_threads": 1},
+    {"block_size": 1, "threshold": 1.0, "num_threads": 32},
+    {"solve_block_edges": 7},       # many blocks in the push solve
+                                    # (an engine constant, patched)
 ]
 
 
@@ -60,38 +69,52 @@ def graph(request):
 
 
 def _oracles(overrides, fuse):
-    """Split ``race_rate`` off ``overrides``; return the rest and a
-    context installing the race and, unless ``fuse``, the per-chunk
-    push."""
+    """Split ``race_rate`` and ``solve_block_edges`` off
+    ``overrides``; return the rest and a context installing them and,
+    unless ``fuse``, the per-chunk push."""
     overrides = dict(overrides)
     race = overrides.pop("race_rate", 0.0)
+    block_edges = overrides.pop("solve_block_edges", None)
     stack = ExitStack()
     if race:
         stack.enter_context(racy_worklists(race))
+    if block_edges:
+        stack.enter_context(mock.patch.object(
+            engine, "_SOLVE_BLOCK_EDGES", block_edges))
     if not fuse:
         stack.enter_context(per_chunk_pushes())
     return overrides, stack
 
 
 def _run(graph, fuse, overrides, backend=None):
+    """The run's result and the drain order of each of its pushes."""
     overrides, oracles = _oracles(overrides, fuse)
+    drains = []
     with oracles:
-        return label_propagation_cc(
-            graph, LPOptions(track_convergence=False, backend=backend,
-                             **overrides))
+        class Recording(engine._Engine):
+            def push(self, frontier):
+                out = super().push(frontier)
+                drains.append(self.last_drain_order.copy())
+                return out
+
+        with mock.patch.object(engine, "_Engine", Recording):
+            result = label_propagation_cc(
+                graph, LPOptions(track_convergence=False, backend=backend,
+                                 **overrides))
+    return result, drains
 
 
-# The fusion identity must hold on every registered backend — a
-# compiled kernel that broke the speculative window's exactness would
-# surface here as a counter or drain-order divergence.
+# The identity must hold on every registered backend — a compiled
+# kernel that broke the solve's exactness would surface here as a
+# counter or drain-order divergence.
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize(
     "overrides", OPTION_GRID,
     ids=["-".join(f"{k}={v}" for k, v in o.items()) or "default"
          for o in OPTION_GRID])
 def test_fused_push_bit_identical(graph, overrides, backend):
-    fused, ref = (_run(graph, f, overrides, backend)
-                  for f in (True, False))
+    (fused, fused_drains), (ref, ref_drains) = (
+        _run(graph, f, overrides, backend) for f in (True, False))
     assert np.array_equal(fused.labels, ref.labels)
     assert fused.num_iterations == ref.num_iterations
     for a, b in zip(fused.trace.iterations, ref.trace.iterations):
@@ -104,13 +127,17 @@ def test_fused_push_bit_identical(graph, overrides, backend):
              b.changed_vertices), a.index
         assert (a.frontier_mode, a.frontier_conversions) == \
             (b.frontier_mode, b.frontier_conversions), a.index
+    assert len(fused_drains) == len(ref_drains)
+    for i, (a, b) in enumerate(zip(fused_drains, ref_drains)):
+        assert np.array_equal(a, b), i
 
 
 @pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("overrides",
                          [{}, {"block_size": 3}, {"race_rate": 0.4},
-                          {"num_threads": 4, "partitions_per_thread": 2}],
-                         ids=["default", "bs3", "race", "t4"])
+                          {"num_threads": 4, "partitions_per_thread": 2},
+                          {"solve_block_edges": 7}],
+                         ids=["default", "bs3", "race", "t4", "blocks7"])
 def test_fused_push_drain_order_lockstep(graph, overrides, backend):
     """Drive two engines push-by-push from an all-active frontier and
     require identical worklist drain order every round (the strongest
